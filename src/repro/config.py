@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.sim.sched import DEFAULT_SCHEDULER
 from repro.units import CACHELINE_BYTES, DEFAULT_CLOCK_HZ, GiB, KiB, MiB
 
 
@@ -200,18 +199,6 @@ class SystemConfig:
     #: ``None`` defers to the device registration's own default.
     default_algorithm: Optional[str] = None
 
-    # ------------------------------------------------------------------ kernel
-    #: Pending-event queue strategy for the simulation kernel (any name in
-    #: :func:`repro.sim.sched.scheduler_names`).  ``ladder`` — the default
-    #: — is the two-tier ladder queue that won both benchmark legs
-    #: (shallow/sim-leg *and* deep stress; the flip evidence lives in the
-    #: committed ``BENCH_kernel.json`` and docs/PERFORMANCE.md §5).
-    #: ``heap`` is the reference binary heap; ``calendar`` (slotted
-    #: per-cycle ring) and ``batch`` (same-timestamp bucket dispatcher)
-    #: are the deep-pending bucket strategies.  Every strategy produces
-    #: identical simulated results — only wall-clock speed differs.
-    scheduler: str = DEFAULT_SCHEDULER
-
     def __post_init__(self) -> None:
         if self.num_cores < 1:
             raise ConfigError(f"need at least one core, got {self.num_cores}")
@@ -307,13 +294,6 @@ class SystemConfig:
             from repro.net.topology import resolve_topology
 
             resolve_topology(self.topology)
-        # The scheduler registry is already imported (DEFAULT_SCHEDULER
-        # comes from it, and repro.sim.sched has no imports back into
-        # config), so every name validates eagerly.
-        if self.scheduler != DEFAULT_SCHEDULER:
-            from repro.sim.sched import resolve_scheduler
-
-            resolve_scheduler(self.scheduler)
         if self.default_algorithm is not None:
             from repro.registry import algorithm_names
 

@@ -17,7 +17,8 @@ the exact bytes a fresh run would serialize to.  Storage is two-tier:
 * an optional spill directory, one file per key (content-addressed:
   ``<sha256>.pkl``), written atomically (tmp + rename) so a crashed
   daemon never leaves a truncated entry and a restarted daemon warms
-  from disk for free.
+  from disk for free.  A spilled file that was damaged anyway (disk
+  error, a hand edit) is quarantined on first read, never served.
 """
 
 from __future__ import annotations
@@ -52,13 +53,25 @@ class ResultCache:
 
     # ------------------------------------------------------------------ lookup
     def get_bytes(self, key: str) -> Optional[bytes]:
-        """The cached pickle for *key*, or None; counts the hit/miss."""
+        """The cached pickle for *key*, or None; counts the hit/miss.
+
+        A spilled entry is unpickled once before it is promoted to memory.
+        One that does not load (a truncated or otherwise corrupt file) is
+        renamed to ``<key>.pkl.corrupt`` and counts as a miss, so the cell
+        is re-run and re-stored instead of served broken.
+        """
         payload = self._memory.get(key)
         if payload is None and self._dir is not None:
             path = self._dir / f"{key}.pkl"
             if path.exists():
                 payload = path.read_bytes()
-                self._memory[key] = payload
+                try:
+                    pickle.loads(payload)
+                except Exception:
+                    os.replace(path, path.with_name(f"{key}.pkl.corrupt"))
+                    payload = None
+                else:
+                    self._memory[key] = payload
         if payload is None:
             self.misses += 1
             return None

@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulation kernel.
 
 This subpackage replaces the paper's gem5 substrate with a transaction-level
-simulator: an event calendar (:class:`Environment`), generator-based
+simulator: an event queue (:class:`Environment`), generator-based
 processes, contention primitives (:class:`Resource`, :class:`Store`,
 :class:`FifoServer`), statistics, tracing and seeded randomness.
 """

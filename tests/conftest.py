@@ -6,15 +6,19 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.sim.kernel import Environment
-from repro.sim.sched import scheduler_names
 from repro.system import System
 
 
-@pytest.fixture(params=scheduler_names())
+@pytest.fixture(params=["heap", "ladder", "calendar", "batch"])
 def env(request) -> Environment:
-    """A bare Environment, parametrized over every registered pending-queue
-    strategy — kernel-level unit tests must hold under all of them."""
-    return Environment(scheduler=request.param)
+    """A bare Environment.
+
+    The kernel has one event queue.  The four ids are the names of the
+    queue strategies it once chose between, kept only so that the ids of
+    the tests using this fixture stay stable; every id builds the same
+    Environment.
+    """
+    return Environment()
 
 
 @pytest.fixture

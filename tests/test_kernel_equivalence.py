@@ -1,72 +1,55 @@
-"""Differential scheduler-equivalence harness.
+"""Differential test of the kernel against a sorted-list reference.
 
-The kernel's pending-event queue is pluggable (:mod:`repro.sim.sched`);
-the contract is that every strategy dispatches in the exact
-``(time, priority, seq)`` total order the reference binary heap realizes,
-so simulated results are bit-identical.  This suite enforces it at three
-levels:
+The kernel's contract is that events dispatch in exact
+``(time, priority, seq)`` order; every simulated result in the repo rests
+on it.  This suite enforces it by running Hypothesis-generated op programs
+(schedule / callback / process / late-subscribe operations, nested so that
+children are issued from inside the dispatch loop) on the real
+:class:`~repro.sim.kernel.Environment` and on :class:`Reference`, a tiny
+interpreter that keeps its pending entries in a plain list and always
+takes the minimum.  Both must produce the same ``(dispatch trace, now,
+events_processed, events_scheduled, queue_length)`` under every way of
+driving the kernel: ``run()``, windowed ``run(until)``, pure ``step()``
+and ``run_until_complete``.
 
-1. **Op-sequence traces** — Hypothesis-generated programs of schedule/
-   callback/process/late-subscribe operations interpreted against each
-   scheduler, asserting identical ``(dispatch order, now,
-   events_processed, events_scheduled)`` traces, under ``run()``,
-   windowed ``run(until)``, pure ``step()`` driving, and
-   ``run_until_complete``.
-2. **Whole-system equivalence** — the PR 2 oracle matrix and the golden
-   Figure-8 metrics re-run under each non-default scheduler must match
-   the heap bit for bit.
-3. **Mutation kills** — deliberately broken scheduler subclasses (LIFO
-   within a lane, priority-blind lanes) must make the trace harness
-   diverge, proving it has teeth (mirrors
-   ``test_sticky_slot_regression.py``).
+Two mutation kills — the heap push monkeypatched to break the seq
+tiebreak or to ignore priorities — prove the differential has teeth
+(mirrors ``test_sticky_slot_regression.py``).
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import sys
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import SystemConfig
-from repro.errors import ConfigError, SchedulingError
-from repro.eval.runner import multipush_setting, run_workload, standard_settings
+import repro.sim.kernel as kernel
 from repro.sim.kernel import Environment, NORMAL, URGENT
-from repro.sim.sched import (
-    CalendarScheduler,
-    HeapScheduler,
-    register_scheduler,
-    resolve_scheduler,
-    scheduler_descriptions,
-    scheduler_names,
-    unregister_scheduler,
-)
-
-SCHEDULERS = scheduler_names()
-ALT_SCHEDULERS = [name for name in SCHEDULERS if name != "heap"]
 
 
 # --------------------------------------------------------- the op interpreter
-def execute(program, scheduler, driver="run", until=None):
-    """Interpret an op program against one scheduler; return its full trace.
+def execute(program, driver="run", until=None, target=()):
+    """Interpret an op program on a real Environment; return its full trace.
 
     Ops (recursive — children run inside the parent's callback, i.e. from
-    the dispatch loop itself, which is where batch preemption and window
-    advances can go wrong):
+    the dispatch loop itself):
 
     - ``("timeout", delay, children)``     NORMAL event via Timeout
     - ``("urgent", delay, children)``      pre-triggered event at URGENT
-    - ``("far", delay)``                   far-future timeout (calendar
-                                           spill-heap path)
+    - ``("far", delay)``                   far-future timeout
     - ``("late_sub",)``                    subscribe to the most recently
                                            processed event → URGENT
-                                           schedule_callback at *now*, the
-                                           mid-batch preemption case
+                                           schedule_callback at *now*
     - ``("call_later", delay, priority)``  event-free deferred call
     - ``("process", delays)``              generator process yielding
                                            timeouts
+
+    *driver* ``"complete"`` adds a target process yielding the *target*
+    delays and runs ``run_until_complete`` on it.
     """
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     trace = []
     ids = itertools.count()
     done = []
@@ -78,6 +61,11 @@ def execute(program, scheduler, driver="run", until=None):
             run_ops(children)
 
         return callback
+
+    def gen(delays, tag, ident):
+        for d in delays:
+            yield env.timeout(d)
+            trace.append((tag, env.now, ident))
 
     def run_ops(ops):
         for op in ops:
@@ -106,13 +94,7 @@ def execute(program, scheduler, driver="run", until=None):
                     priority=op[2],
                 )
             elif kind == "process":
-
-                def gen(delays=tuple(op[1]), i=ident):
-                    for d in delays:
-                        yield env.timeout(d)
-                        trace.append(("p", env.now, i))
-
-                env.process(gen())
+                env.process(gen(tuple(op[1]), "p", ident))
             else:  # pragma: no cover - grammar guard
                 raise AssertionError(f"unknown op {op!r}")
 
@@ -126,9 +108,108 @@ def execute(program, scheduler, driver="run", until=None):
     elif driver == "step":
         while env.queue_length:
             env.step()
+            trace.append(("step", env.now, -2))
+    elif driver == "complete":
+        env.run_until_complete(env.process(gen(tuple(target), "target", -1)))
     else:  # pragma: no cover - grammar guard
         raise AssertionError(f"unknown driver {driver!r}")
-    return trace, env.now, env.events_processed, env.events_scheduled
+    return (trace, env.now, env.events_processed, env.events_scheduled,
+            env.queue_length)
+
+
+class Reference:
+    """The op semantics over a plain list of ``(time, priority, seq,
+    action)`` entries, dispatched by taking the minimum — no heap, no
+    Events, no Processes.  Mirrors :func:`execute` entry for entry: a
+    process costs an init entry, one entry per timeout, and a completion
+    entry."""
+
+    def __init__(self):
+        self.now = 0
+        self.seq = 0
+        self.processed = 0
+        self.pending = []
+        self.trace = []
+        self.ids = itertools.count()
+        self.fired = 0  # how many events `done` would hold
+        self.target_done = False
+
+    def push(self, delay, priority, action):
+        self.pending.append((self.now + delay, priority, self.seq, action))
+        self.seq += 1
+
+    def fire(self, tag, ident, children):
+        def action():
+            self.trace.append((tag, self.now, ident))
+            self.fired += 1
+            self.run_ops(children)
+
+        return action
+
+    def resume(self, delays, tag, ident, k=0):
+        def action():
+            if k:
+                self.trace.append((tag, self.now, ident))
+            if k < len(delays):
+                self.push(delays[k], NORMAL,
+                          self.resume(delays, tag, ident, k + 1))
+            else:
+                if tag == "target":
+                    self.target_done = True
+                self.push(0, NORMAL, lambda: None)  # the process event
+
+        return action
+
+    def note(self, tag, ident):
+        return lambda: self.trace.append((tag, self.now, ident))
+
+    def run_ops(self, ops):
+        for op in ops:
+            kind = op[0]
+            ident = next(self.ids)
+            if kind == "timeout":
+                self.push(op[1], NORMAL, self.fire("t", ident, op[2]))
+            elif kind == "urgent":
+                self.push(op[1], URGENT, self.fire("u", ident, op[2]))
+            elif kind == "far":
+                self.push(op[1], NORMAL, self.fire("f", ident, ()))
+            elif kind == "late_sub":
+                if self.fired:
+                    self.push(0, URGENT, self.note("l", ident))
+                else:
+                    self.trace.append(("skip", self.now, ident))
+            elif kind == "call_later":
+                self.push(op[1], op[2], self.note("c", ident))
+            elif kind == "process":
+                self.push(0, NORMAL, self.resume(tuple(op[1]), "p", ident))
+
+    def drain(self, until=None, stop=lambda: False, step=False):
+        while self.pending and not stop():
+            entry = min(self.pending)
+            if until is not None and entry[0] > until:
+                break
+            self.pending.remove(entry)
+            self.now = entry[0]
+            self.processed += 1
+            entry[3]()
+            if step:
+                self.trace.append(("step", self.now, -2))
+
+    def execute(self, program, driver="run", until=None, target=()):
+        self.run_ops(program)
+        if driver == "windowed":
+            self.drain(until)
+            self.now = max(self.now, until)
+            self.trace.append(("window", self.now, -1))
+        elif driver == "complete":
+            self.push(0, NORMAL, self.resume(tuple(target), "target", -1))
+        self.drain(stop=lambda: self.target_done, step=driver == "step")
+        return (self.trace, self.now, self.processed, self.seq,
+                len(self.pending))
+
+
+def reference(program, driver="run", until=None, target=()):
+    return Reference().execute(program, driver, until, target)
 
 
 def _op_strategy():
@@ -158,68 +239,38 @@ PROGRAMS = st.lists(_op_strategy(), min_size=1, max_size=10)
 # ----------------------------------------------------------- trace properties
 @given(program=PROGRAMS)
 @settings(max_examples=80, deadline=None)
-def test_schedulers_produce_identical_traces(program):
-    reference = execute(program, "heap")
-    for name in ALT_SCHEDULERS:
-        assert execute(program, name) == reference, name
+def test_run_matches_reference(program):
+    assert execute(program) == reference(program)
 
 
 @given(program=PROGRAMS, until=st.integers(0, 120))
 @settings(max_examples=40, deadline=None)
 def test_windowed_runs_equivalent(program, until):
-    """run(until) then run() — window boundary handling must agree."""
-    reference = execute(program, "heap", driver="windowed", until=until)
-    for name in ALT_SCHEDULERS:
-        assert execute(program, name, driver="windowed", until=until) == \
-            reference, name
+    """run(until) then run() — the window boundary must agree."""
+    assert execute(program, "windowed", until) == \
+        reference(program, "windowed", until)
 
 
 @given(program=PROGRAMS)
 @settings(max_examples=40, deadline=None)
 def test_step_driven_runs_equivalent(program):
-    """Driving purely via step() exercises the single-pop path."""
-    reference = execute(program, "heap", driver="step")
-    for name in ALT_SCHEDULERS:
-        assert execute(program, name, driver="step") == reference, name
+    """Driving purely via step(), one event per call."""
+    assert execute(program, "step") == reference(program, "step")
 
 
 @given(delays=st.lists(st.integers(0, 30), min_size=1, max_size=5),
        program=PROGRAMS)
 @settings(max_examples=40, deadline=None)
 def test_run_until_complete_equivalent(delays, program):
-    """The target completing mid-batch must leave identical state."""
-
-    def run_one(name):
-        env = Environment(scheduler=name)
-        trace = []
-
-        def target():
-            for d in delays:
-                yield env.timeout(d)
-                trace.append(("target", env.now))
-
-        proc = env.process(target())
-        # Background noise from the shared op grammar, same program for
-        # every scheduler (interpreted standalone to seed the queue).
-        for op in program:
-            if op[0] == "timeout":
-                env.timeout(op[1]).subscribe(
-                    lambda e, t=op[1]: trace.append(("bg", env.now))
-                )
-        env.run_until_complete(proc)
-        return trace, env.now, env.events_processed, env.queue_length
-
-    reference = run_one("heap")
-    for name in ALT_SCHEDULERS:
-        assert run_one(name) == reference, name
+    """The target completing mid-cycle must leave identical state: the
+    loop stops right after the dispatch that triggered it."""
+    assert execute(program, "complete", target=delays) == \
+        reference(program, "complete", target=delays)
 
 
-# -------------------------------------------------------- watchdog equivalence
-@pytest.mark.parametrize("name", SCHEDULERS)
-def test_watchdog_firing_point_identical(name):
-    """The watchdog fires inside the first dispatch at/past the deadline —
-    the same cycle regardless of queue strategy or batch shape."""
-    env = Environment(scheduler=name)
+# ------------------------------------------------------------------ watchdog
+def test_watchdog_firing_point_identical(env):
+    """The watchdog fires inside the first dispatch at/past the deadline."""
     fires = []
 
     def watchdog(now):
@@ -233,173 +284,73 @@ def test_watchdog_firing_point_identical(name):
     assert fires == [20, 60]
 
 
-# --------------------------------------------------- whole-system equivalence
-FIG8_QUICK = [("ping-pong", 0.05), ("incast", 0.05)]
-
-
-def fig8_quick_settings():
-    """The golden Figure-8 flavors plus burst-mode multipush: rollback
-    scheduling (doomed claims, invalidation transits) must be just as
-    scheduler-invariant as the single-push pipeline."""
-    return standard_settings() + [multipush_setting(4, 0.0)]
-
-
-@pytest.mark.parametrize("name", ALT_SCHEDULERS)
-def test_fig8_metrics_identical_across_schedulers(name):
-    """Golden Figure-8 cells: every metric field must match the heap."""
-    for workload, scale in FIG8_QUICK:
-        for setting in fig8_quick_settings():
-            reference = run_workload(
-                workload, setting, scale=scale, seed=7,
-                config=SystemConfig(num_cores=16),
-            )
-            candidate = run_workload(
-                workload, setting, scale=scale, seed=7,
-                config=SystemConfig(num_cores=16, scheduler=name),
-            )
-            assert candidate == reference, (workload, setting.label, name)
-
-
-@pytest.mark.parametrize("name", ALT_SCHEDULERS)
-def test_oracle_matrix_agrees_across_schedulers(name):
-    """The PR 2 differential oracle under each scheduler: every device
-    flavor still delivers the bit-identical canonical stream."""
-    from repro.verify.oracle import run_differential
-    from tests.test_oracle_matrix import matrix_settings
-
-    report = run_differential(
-        "ping-pong", scale=0.02, settings=matrix_settings(),
-        config=SystemConfig(num_cores=16, scheduler=name),
-    )
-    assert report.ok, "\n".join(report.mismatches)
-
-
-# -------------------------------------------------------------- mutation kill
-class _LifoLaneScheduler(CalendarScheduler):
-    """Mutant: breaks the seq tiebreak — LIFO within a (time, prio) lane."""
-
-    def pop_batch(self):
-        batch = super().pop_batch()
-        if batch is not None and len(batch) > 1:
-            batch.reverse()
-        return batch
-
-
-class _PriorityBlindScheduler(CalendarScheduler):
-    """Mutant: drops URGENT-before-NORMAL — everything lands NORMAL."""
-
-    def push(self, entry):
-        if entry[1] == URGENT:
-            entry = (entry[0], NORMAL, entry[2]) + entry[3:]
-        super().push(entry)
-
-
-def test_harness_kills_broken_seq_tiebreak():
-    program = [("timeout", 5, ()), ("timeout", 5, ()), ("timeout", 5, ())]
-    assert execute(program, _LifoLaneScheduler) != execute(program, "heap")
-
-
-def test_harness_kills_broken_urgent_priority():
-    program = [("timeout", 5, ()), ("urgent", 5, ())]
-    assert execute(program, _PriorityBlindScheduler) != execute(program, "heap")
-
-
-def test_mutants_are_otherwise_plausible():
-    """The mutants pass a trivially-ordered program — the kills above are
-    detecting the specific broken guarantee, not generic breakage."""
-    program = [("timeout", 3, ()), ("timeout", 9, ())]
-    reference = execute(program, "heap")
-    assert execute(program, _LifoLaneScheduler) == reference
-    assert execute(program, _PriorityBlindScheduler) == reference
-
-
-# ----------------------------------------------------------- registry plumbing
-def test_registry_resolves_and_reports_names():
-    assert set(SCHEDULERS) >= {"heap", "ladder", "calendar", "batch"}
-    assert resolve_scheduler("heap") is HeapScheduler
-    with pytest.raises(ConfigError, match="unknown scheduler"):
-        resolve_scheduler("nope")
-    descriptions = scheduler_descriptions()
-    assert all(descriptions[name] for name in SCHEDULERS)
-
-
-def test_register_and_unregister_roundtrip():
-    @register_scheduler("test-local", description="test only")
-    class _Local(HeapScheduler):
-        pass
-
-    try:
-        assert resolve_scheduler("test-local") is _Local
-        with pytest.raises(ConfigError, match="already registered"):
-            register_scheduler("test-local")(_Local)
-    finally:
-        unregister_scheduler("test-local")
-    assert "test-local" not in scheduler_names()
-
-
-def test_config_validates_scheduler_name():
-    assert SystemConfig(scheduler="calendar").scheduler == "calendar"
-    with pytest.raises(ConfigError, match="unknown scheduler"):
-        SystemConfig(scheduler="nope")
-
-
-def test_environment_accepts_factory_and_reports_name():
-    assert Environment().scheduler_name == "ladder"
-    assert Environment(scheduler="calendar").scheduler_name == "calendar"
-    assert Environment(scheduler=CalendarScheduler).scheduler_name == "calendar"
+def test_deep_far_future_spill(env):
+    """Hundreds of entries spread far into the future still dispatch in
+    exact ``(time, seq)`` order."""
+    out = []
+    delays = [(i * 7919) % 50_000 for i in range(300)]
+    for i, delay in enumerate(delays):
+        env.timeout(delay).subscribe(lambda e, i=i: out.append((env.now, i)))
+    env.run()
+    assert out == sorted((delay, i) for i, delay in enumerate(delays))
+    assert env.events_processed == 300 and env.now == max(delays)
 
 
 def test_inline_fast_paths_exposed():
-    """The default (ladder) must expose its raw spine and the heap opt-in
-    its raw list — both inline dispatch loops depend on these attributes,
-    and golden fixtures depend on the loops staying live."""
+    """Dispatch is inlined: draining many events through run(),
+    run_until_complete() or step() enters one kernel frame per call, never
+    one per event (a per-event helper frame was the largest kernel cost)."""
     env = Environment()
-    assert env._spine is not None and env._heap is None
-    env.timeout(5)
-    assert env._spine[0][0] == 5
+    calls = []
 
-    env = Environment(scheduler="heap")
-    assert env._heap is not None and env._spine is None
-    env.timeout(5)
-    assert env._heap[0][0] == 5
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_globals is vars(kernel):
+            calls.append(frame.f_code.co_name)
 
-
-def test_bucket_schedulers_reject_custom_priorities():
-    for name in ("calendar", "batch"):
-        env = Environment(scheduler=name)
-        event = env.event()
-        event._ok, event._value = True, None
-        with pytest.raises(SchedulingError, match="priority lanes"):
-            env.schedule(event, delay=1, priority=2)
-    # The heap and the ladder accept arbitrary integer priorities (both
-    # realize the order through full-tuple comparisons).
-    for name in ("heap", "ladder"):
-        env = Environment(scheduler=name)
-        event = env.event()
-        event._ok, event._value = True, None
-        env.schedule(event, delay=1, priority=7)
-        env.run()
-        assert event.processed
+    for i in range(200):
+        env.call_later(i % 7, lambda arg: None)
+    target = env.event()
+    env.call_later(10, target.succeed)
+    sys.setprofile(profiler)
+    try:
+        env.run(until=9)
+        env.run_until_complete(target)
+        env.step()  # the target's own entry
+    finally:
+        sys.setprofile(None)
+    assert calls == ["run", "_loop", "run_until_complete", "_loop",
+                     "schedule", "step", "_loop"]
+    assert env.events_processed == 202
 
 
-def test_calendar_slots_must_be_power_of_two():
-    with pytest.raises(ConfigError, match="power of two"):
-        CalendarScheduler(slots=1000)
+# -------------------------------------------------------------- mutation kill
+def _lifo_seq_push(queue, entry):
+    """Mutant: breaks the seq tiebreak — LIFO among equal (time, prio)."""
+    heapq.heappush(queue, (entry[0], entry[1], -entry[2]) + entry[3:])
 
 
-@pytest.mark.parametrize("name", ALT_SCHEDULERS)
-def test_deep_far_future_spill(name):
-    """Thousands of entries far beyond the calendar window (spill-heap
-    migration path) still dispatch in exact order."""
-    def run_one(sched):
-        env = Environment(scheduler=sched)
-        out = []
-        for i in range(300):
-            delay = (i * 7919) % 50_000  # far beyond the 2048-cycle window
-            env.timeout(delay).subscribe(
-                lambda e, i=i: out.append((env.now, i))
-            )
-        env.run()
-        return out, env.now, env.events_processed
+def _priority_blind_push(queue, entry):
+    """Mutant: drops URGENT-before-NORMAL — everything lands NORMAL."""
+    heapq.heappush(queue, (entry[0], NORMAL) + entry[2:])
 
-    assert run_one(name) == run_one("heap")
+
+def test_harness_kills_broken_seq_tiebreak(monkeypatch):
+    program = [("timeout", 5, ()), ("timeout", 5, ()), ("timeout", 5, ())]
+    monkeypatch.setattr(kernel, "_heappush", _lifo_seq_push)
+    assert execute(program) != reference(program)
+
+
+def test_harness_kills_broken_urgent_priority(monkeypatch):
+    program = [("timeout", 5, ()), ("urgent", 5, ())]
+    monkeypatch.setattr(kernel, "_heappush", _priority_blind_push)
+    assert execute(program) != reference(program)
+
+
+def test_mutants_are_otherwise_plausible(monkeypatch):
+    """The mutants pass a trivially-ordered program — the kills above are
+    detecting the specific broken guarantee, not generic breakage."""
+    program = [("timeout", 3, ()), ("timeout", 9, ())]
+    expected = reference(program)
+    for mutant in (_lifo_seq_push, _priority_blind_push):
+        monkeypatch.setattr(kernel, "_heappush", mutant)
+        assert execute(program) == expected

@@ -1,5 +1,5 @@
-"""Hot-path regression tests: `__slots__` coverage, polymorphic callbacks,
-``call_later`` edge cases, and the ladder scheduler's tier mechanics.
+"""Hot-path regression tests: `__slots__` coverage, polymorphic callbacks
+and ``call_later`` edge cases.
 
 The allocation-free dispatch work (PERFORMANCE.md §5) rests on three
 properties that nothing else in the suite pins directly:
@@ -9,8 +9,8 @@ properties that nothing else in the suite pins directly:
 * the ``Event.callbacks`` slot is polymorphic (None | callable | list |
   PROCESSED) and all four states behave identically to the old
   always-a-list protocol;
-* the ladder's spill/refill machinery preserves exact dispatch order
-  around its spine-capacity boundary.
+* deferred calls order by ``(time, priority, seq)`` like events do,
+  including URGENT calls issued from inside a NORMAL callback.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ import repro.sim.transaction
 from repro.errors import SchedulingError
 from repro.sim.event import Event, PROCESSED
 from repro.sim.kernel import Environment, NORMAL, URGENT
-from repro.sim.sched import (
-    LADDER_REFILL_TARGET,
-    LADDER_SPINE_CAP,
-    LadderScheduler,
-)
 
 
 # ------------------------------------------------------------ __slots__ audit
@@ -167,9 +162,8 @@ def test_call_later_zero_delay_runs_in_current_cycle(env):
 
 def test_call_later_urgent_preempts_partially_drained_batch(env):
     """A NORMAL callback scheduling an URGENT call for the *same* cycle:
-    the URGENT call must run before the rest of the NORMAL batch (the
-    bucket schedulers' preempt-and-reclaim path; the heap and ladder get
-    it from plain entry ordering)."""
+    the URGENT call runs before the NORMAL entries still pending for that
+    cycle (priority orders before seq)."""
     order = []
 
     def first(arg):
@@ -184,10 +178,9 @@ def test_call_later_urgent_preempts_partially_drained_batch(env):
 
 
 def test_call_later_reclaim_interleaves_repeatedly(env):
-    """Repeated mid-batch preemption: every NORMAL callback spawns an
-    URGENT one, forcing a reclaim per dispatch.  Order must match the
-    heap's exactly (the fixture parametrizes over all schedulers, so this
-    is the differential assertion in miniature)."""
+    """Every NORMAL callback of one cycle spawns an URGENT one for the same
+    cycle: each URGENT call runs right after its parent, before the next
+    NORMAL entry."""
     order = []
 
     def make_normal(i):
@@ -213,68 +206,10 @@ def test_call_later_passes_argument(env):
     assert got == [{"k": 1}] and env.now == 4
 
 
-# ------------------------------------------------------------- ladder internals
-def test_ladder_spill_cuts_on_time_boundary():
-    sched = LadderScheduler()
-    seq = 0
-    for t in range(2 * LADDER_SPINE_CAP):
-        sched.push((t, NORMAL, seq, None))
-        seq += 1
-    assert sched.boundary < 2 * LADDER_SPINE_CAP  # a spill happened
-    spine_times = [e[0] for e in sched.spine]
-    assert spine_times == sorted(spine_times)
-    assert all(t < sched.boundary for t in spine_times)
-    # Lanes hold exactly the complement, all at/past the boundary.
-    assert len(sched) == 2 * LADDER_SPINE_CAP
-
-
-def test_ladder_single_cycle_burst_never_spills():
-    """All entries in one cycle: no time boundary exists to cut on, so
-    the spine legitimately exceeds the cap rather than splitting a cycle."""
-    sched = LadderScheduler()
-    n = LADDER_SPINE_CAP + 50
-    for seq in range(n):
-        sched.push((7, NORMAL, seq, None))
-    assert len(sched.spine) == n
-    assert [e[2] for e in sched.spine] == list(range(n))
-
-
-def test_ladder_refill_restores_order_and_boundary():
-    sched = LadderScheduler()
-    seq = 0
-    for t in range(1000):
-        sched.push((t, NORMAL, seq, None))
-        seq += 1
-    popped = [sched.pop() for _ in range(1000)]
-    assert popped == sorted(popped)
-    assert len(sched) == 0
-    with pytest.raises(IndexError):
-        sched.pop()
-
-
-def test_ladder_refill_moves_whole_cycles():
-    """A cycle denser than the refill target still moves as one unit —
-    splitting it would strand same-cycle entries behind the boundary."""
-    sched = LadderScheduler()
-    dense = LADDER_REFILL_TARGET * 3
-    seq = 0
-    # Force the lanes into existence with a spread first.
-    for t in range(LADDER_SPINE_CAP + 10):
-        sched.push((t, NORMAL, seq, None))
-        seq += 1
-    burst_t = sched.boundary + 1
-    for _ in range(dense):
-        sched.push((burst_t, NORMAL, seq, None))
-        seq += 1
-    out = []
-    while len(sched):
-        out.append(sched.pop())
-    assert out == sorted(out)
-    assert len(out) == LADDER_SPINE_CAP + 10 + dense
-
-
-def test_ladder_urgent_insorts_ahead():
-    env = Environment(scheduler="ladder")
+def test_integer_priorities_order_within_a_cycle():
+    """Any integer priority is accepted and orders by value around URGENT
+    and NORMAL within one cycle."""
+    env = Environment()
     order = []
     env.call_later(3, lambda a: order.append("n"), priority=NORMAL)
     env.call_later(3, lambda a: order.append("u"), priority=URGENT)
@@ -282,19 +217,3 @@ def test_ladder_urgent_insorts_ahead():
     env.call_later(3, lambda a: order.append("custom-late"), priority=9)
     env.run()
     assert order == ["custom-early", "u", "n", "custom-late"]
-
-
-def test_ladder_deep_pending_dispatch_matches_heap():
-    """5k entries across a wide time range — deep enough to exercise
-    spill, lane accumulation, and many refills — must dispatch in the
-    heap's exact order."""
-
-    def run_one(name):
-        env = Environment(scheduler=name)
-        out = []
-        for i in range(5000):
-            env.call_later((i * 131) % 997, out.append, arg=i)
-        env.run()
-        return out, env.now, env.events_processed
-
-    assert run_one("ladder") == run_one("heap")

@@ -66,7 +66,6 @@ def test_equal_keys_mean_byte_identical_metrics():
         {"validate": False},
         {"verify": True},
         {"arrival": ArrivalSpec.make("poisson", rate=0.001)},
-        {"scheduler": "calendar"},
     ],
     ids=lambda o: next(iter(o)),
 )
@@ -154,6 +153,26 @@ def test_result_cache_persists_through_its_directory(tmp_path):
     reopened = ResultCache(tmp_path)
     assert reopened.get_bytes(key) == metrics_bytes(metrics)
     assert reopened.get(key) == metrics
+
+
+def test_truncated_spill_file_is_quarantined_and_restored(tmp_path):
+    request = _request()
+    metrics = execute_request(request)
+    key = request.cache_key()
+    ResultCache(tmp_path).put(key, metrics)
+    path = tmp_path / f"{key}.pkl"
+    path.write_bytes(path.read_bytes()[:40])
+    # A fresh instance must not serve the damaged file as a hit.
+    reopened = ResultCache(tmp_path)
+    assert reopened.get(key) is None
+    assert (reopened.hits, reopened.misses) == (0, 1)
+    assert (tmp_path / f"{key}.pkl.corrupt").exists()
+    assert not path.exists() and not reopened.contains(key)
+    # The re-run result is re-stored and round-trips byte for byte.
+    reopened.put(key, execute_request(request))
+    again = ResultCache(tmp_path)
+    assert again.get_bytes(key) == metrics_bytes(metrics)
+    assert again.get(key) == metrics
 
 
 def test_metrics_bytes_pins_the_pickle_protocol():
