@@ -79,11 +79,6 @@ class SystemConfig:
     consbuf_entries: int = 64
     linktab_entries: int = 64
     specbuf_entries: int = 64
-    #: Number of routing devices attached to the network.  The paper treats
-    #: the router "like a slice of system cache ... (as such a system could
-    #: have more than one router)" but evaluates one; more routers shard
-    #: SQIs across independent buffer pools and mapping pipelines.
-    num_routers: int = 1
 
     # -------------------------------------------------- transaction latencies
     #: One-way propagation core <-> routing device over the coherence network.
@@ -112,11 +107,12 @@ class SystemConfig:
     #: traversal — the calibration that makes mesh-vs-bus comparisons
     #: about *contention and distance spread*, not a flat rescale.
     link_latency: int = 12
-    #: Number of SRD shards.  Virtual links partition across shards by
-    #: queue id (``sqi % num_srds``); each shard has its own buffer pool
-    #: and mapping pipeline, sits on its own network node, and cross-shard
-    #: stash traffic pays real network distance.  Alias of the older
-    #: ``num_routers`` knob (they must agree when both are set).
+    #: Number of SRD shards (routing devices).  The paper treats the router
+    #: "like a slice of system cache ... (as such a system could have more
+    #: than one router)" but evaluates one.  Virtual links partition across
+    #: shards by queue id (``sqi % num_srds``); each shard has its own
+    #: buffer pool and mapping pipeline, sits on its own network node, and
+    #: cross-shard stash traffic pays real network distance.
     num_srds: int = 1
     #: SRD/VLRD address-mapping pipeline depth (Section 3.1: three stages).
     srd_pipeline_latency: int = 3
@@ -207,7 +203,6 @@ class SystemConfig:
             "consbuf_entries",
             "linktab_entries",
             "specbuf_entries",
-            "num_routers",
             "num_srds",
             "bus_channels",
         ):
@@ -257,14 +252,6 @@ class SystemConfig:
                 "meaningless; use bus_channels=1 for the ideal-network "
                 "ablation"
             )
-        if self.num_srds > 1 and self.num_routers > 1 and (
-            self.num_srds != self.num_routers
-        ):
-            raise ConfigError(
-                f"num_srds={self.num_srds} conflicts with "
-                f"num_routers={self.num_routers}; the knobs are aliases — "
-                "set one (or both to the same value)"
-            )
         if self.mesh_dims is not None:
             if self.topology not in ("mesh", "torus"):
                 raise ConfigError(
@@ -304,13 +291,6 @@ class SystemConfig:
                 )
 
     # ----------------------------------------------------------------- helpers
-    @property
-    def effective_srds(self) -> int:
-        """Routing-device shard count, honouring both spellings of the
-        knob (``num_srds`` is the interconnect-era alias of
-        ``num_routers``; validation rejects a disagreement)."""
-        return self.num_srds if self.num_srds > 1 else self.num_routers
-
     def to_dict(self) -> Dict:
         """Serialize to a plain dict (JSON-friendly; caches nested)."""
         from dataclasses import asdict

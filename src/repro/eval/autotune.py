@@ -256,7 +256,7 @@ def autotune_burst(
 
     *executor* is any ``run_requests``-shaped callable (e.g. a
     :class:`~repro.serve.executor.ServeExecutor`); the grid routes
-    through it so repeated frontier sweeps hit the daemon's result cache.
+    through it so repeated frontier sweeps hit its result cache.
     """
     from repro.eval.load import arrival_spec_for
     from repro.eval.parallel import RunRequest, run_requests

@@ -84,8 +84,8 @@ def run_batch(
 
     *executor* is any ``run_requests``-shaped callable — pass a
     :class:`~repro.serve.executor.ServeExecutor` to route the grid
-    through a serve daemon (warm pool + result cache) instead of the
-    per-call process pool; the report stays bit-identical by the same
+    through its warm pool and result cache instead of the per-call
+    process pool; the report stays bit-identical by the same
     determinism argument.
     """
     norm = parse_spec(spec)

@@ -196,8 +196,8 @@ def load_experiment(
 
     *executor* is any ``run_requests``-shaped callable (e.g. a
     :class:`~repro.serve.executor.ServeExecutor`): both phases route
-    through it, so a serve daemon's warm pool runs the sweep and its
-    result cache makes every repeated cell — including the calibration
+    through it, so its warm pool runs the sweep and its result cache
+    makes every repeated cell — including the calibration
     runs a later sweep repeats — free.
     """
     runner = executor if executor is not None else run_requests

@@ -30,13 +30,16 @@ See ``docs/PERFORMANCE.md`` for the design and determinism argument.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
 import os
 import pickle
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.config import SystemConfig
@@ -57,6 +60,27 @@ CACHE_KEY_VERSION = 1
 #: fresh run would produce") need one fixed serialization, not whatever
 #: ``pickle.DEFAULT_PROTOCOL`` happens to be on the running interpreter.
 CACHE_PICKLE_PROTOCOL = 4
+
+
+@functools.cache
+def code_digest() -> str:
+    """SHA-256 identity of the code that produces a run's metrics.
+
+    Hashes every ``repro/**/*.py`` path and its bytes, the Python version
+    and :data:`CACHE_PICKLE_PROTOCOL`; computed once per process.  Part of
+    every cache key, so a result spilled to disk before an edit to the
+    sources is a miss after it instead of a stale hit.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256(
+        f"python={sys.version};pickle={CACHE_PICKLE_PROTOCOL}".encode()
+    )
+    for path in sorted(root.rglob("*.py")):
+        source = path.read_bytes()
+        name = path.relative_to(root).as_posix()
+        digest.update(f"\0{name}\0{len(source)}\0".encode())
+        digest.update(source)
+    return digest.hexdigest()
 
 
 def _canonical_component(value):
@@ -156,8 +180,10 @@ class RunRequest:
         parameterized factories canonicalize via
         :func:`_canonical_component`.
 
-        The payload is *versioned* (:data:`CACHE_KEY_VERSION`) and
-        *registry-generation-aware*: any runtime (un)registration bumps
+        The payload is *versioned* (:data:`CACHE_KEY_VERSION`),
+        *code-aware* (:func:`code_digest`: any edit to the ``repro``
+        sources changes every key) and *registry-generation-aware*: any
+        runtime (un)registration bumps
         :func:`~repro.registry.registry_generation` and therefore every
         key, because a re-registered name may resolve to different code.
         That is deliberately conservative — a stale generation can only
@@ -167,6 +193,7 @@ class RunRequest:
 
         return {
             "version": CACHE_KEY_VERSION,
+            "code_digest": code_digest(),
             "registry_generation": registry_generation(),
             "workload": self.workload,
             "device": self.device,
@@ -262,24 +289,17 @@ def _warm_token(token: int) -> int:
     return token
 
 
-def make_pool(
-    jobs: Optional[int] = None, warm: bool = True
-) -> ProcessPoolExecutor:
-    """A live executor pool for reuse across :func:`run_requests` calls.
+def make_pool(jobs: Optional[int] = None) -> ProcessPoolExecutor:
+    """A live, warmed worker pool (the :class:`~repro.serve.ServeDaemon`'s).
 
     ``ProcessPoolExecutor`` starts workers lazily, so a freshly built pool
-    still pays the spawn cost on its first batch; ``warm=True`` runs one
-    trivial task per worker up front, moving that cost to pool creation.
-    Back-to-back sweeps that pass the same live pool to
-    :func:`run_requests`/:func:`execute_requests` then pay it once instead
-    of once per call — the small-host overhead that made ``--jobs`` a loss
-    on 1–2 core machines (docs/PERFORMANCE.md §7).  The caller owns the
+    would pay the spawn cost on its first batch; one trivial task per
+    worker up front moves that cost to pool creation.  The caller owns the
     pool and must ``shutdown()`` it (or use it as a context manager).
     """
     workers = resolve_jobs(jobs)
     pool = ProcessPoolExecutor(max_workers=workers, mp_context=_mp_context())
-    if warm:
-        list(pool.map(_warm_token, range(workers)))
+    list(pool.map(_warm_token, range(workers)))
     return pool
 
 
@@ -312,9 +332,7 @@ def _harvest(
 
 
 def execute_requests(
-    requests: Sequence[RunRequest],
-    jobs: Optional[int] = None,
-    pool: Optional[ProcessPoolExecutor] = None,
+    requests: Sequence[RunRequest], jobs: Optional[int] = None
 ) -> List[RunOutcome]:
     """Run every request; never raises for a failing *run*.
 
@@ -322,16 +340,8 @@ def execute_requests(
     order, one per request: a crashed or deadlocked run yields its typed
     exception in :attr:`RunOutcome.error` while every other run's metrics
     are preserved.
-
-    *pool* is an optional **live** executor (see :func:`make_pool`): when
-    given it is used as-is and left running afterwards, so back-to-back
-    sweeps amortize worker spawn instead of paying it per call.  ``jobs``
-    is ignored in that case — the pool's own worker count governs.
     """
     requests = list(requests)
-    if pool is not None:
-        _check_picklable(requests)
-        return _harvest(requests, pool)
     workers = min(resolve_jobs(jobs), len(requests)) if requests else 1
     outcomes: List[RunOutcome] = []
     if workers <= 1:
@@ -349,9 +359,7 @@ def execute_requests(
 
 
 def run_requests(
-    requests: Sequence[RunRequest],
-    jobs: Optional[int] = None,
-    pool: Optional[ProcessPoolExecutor] = None,
+    requests: Sequence[RunRequest], jobs: Optional[int] = None
 ) -> List[RunMetrics]:
     """Run every request and return metrics in submission order.
 
@@ -360,15 +368,14 @@ def run_requests(
     ``SimDeadlockError.tick``/``.blocked`` and ``VerificationError
     .violations`` intact even when the failure happened in a worker.
     Callers that need the surviving results around a failure use
-    :func:`execute_requests` instead.  A live *pool* (:func:`make_pool`)
-    is reused and left running, exactly as in :func:`execute_requests`.
+    :func:`execute_requests` instead.
     """
     requests = list(requests)
-    if pool is None and min(resolve_jobs(jobs), len(requests) or 1) <= 1:
+    if min(resolve_jobs(jobs), len(requests) or 1) <= 1:
         # Pure serial fast path: no outcome wrappers, abort at first error
         # exactly like the historical per-figure loops.
         return [execute_request(request) for request in requests]
-    outcomes = execute_requests(requests, jobs=jobs, pool=pool)
+    outcomes = execute_requests(requests, jobs=jobs)
     for outcome in outcomes:
         if outcome.error is not None:
             raise outcome.error

@@ -1,48 +1,24 @@
-"""``repro.serve`` — the long-lived experiment service.
+"""``repro.serve`` — the embedded cached executor.
 
-The serving layer on top of the deterministic batch machinery: a resident
-daemon with a persistent warmed worker pool, an admission-controlled job
-queue with registry-driven scheduling policies, and a content-addressed
-result cache made provably exact by bit-wise determinism.  Architecture,
-cache-correctness argument and policy guide: ``docs/SERVING.md``.
+A drop-in for :func:`~repro.eval.parallel.run_requests` that keeps a
+warmed worker pool across calls and answers repeated sweep cells from a
+content-addressed result cache made provably exact by bit-wise
+determinism; the cache can spill to a directory for reuse across
+processes (``--cache-dir``).  Architecture and the cache-correctness
+argument: ``docs/SERVING.md``.
 """
 
 from repro.serve.cache import ResultCache, metrics_bytes
-from repro.serve.client import ServeClient
-from repro.serve.daemon import JobEventLog, ServeDaemon
+from repro.serve.daemon import ServeDaemon
 from repro.serve.executor import ServeExecutor
-from repro.serve.policy import (
-    DEFAULT_POLICY,
-    STARVATION_LIMIT,
-    SchedPolicy,
-    calibrated_estimates,
-    estimate_cost,
-    make_sched_policy,
-    register_sched_policy,
-    sched_policy_names,
-)
-from repro.serve.queue import DEFAULT_MAX_DEPTH, Job, JobQueue, JobState
-from repro.serve.spool import Spool, new_job_id
+from repro.serve.queue import Job, JobQueue, JobState
 
 __all__ = [
-    "DEFAULT_MAX_DEPTH",
-    "DEFAULT_POLICY",
     "Job",
-    "JobEventLog",
     "JobQueue",
     "JobState",
     "ResultCache",
-    "STARVATION_LIMIT",
-    "SchedPolicy",
-    "ServeClient",
     "ServeDaemon",
     "ServeExecutor",
-    "Spool",
-    "calibrated_estimates",
-    "estimate_cost",
-    "make_sched_policy",
     "metrics_bytes",
-    "new_job_id",
-    "register_sched_policy",
-    "sched_policy_names",
 ]

@@ -14,11 +14,15 @@ The cache stores the pinned-protocol pickle of the metrics object
 the exact bytes a fresh run would serialize to.  Storage is two-tier:
 
 * an in-memory dict, always on — the fast path inside one daemon;
-* an optional spill directory, one file per key (content-addressed:
-  ``<sha256>.pkl``), written atomically (tmp + rename) so a crashed
-  daemon never leaves a truncated entry and a restarted daemon warms
-  from disk for free.  A spilled file that was damaged anyway (disk
-  error, a hand edit) is quarantined on first read, never served.
+* an optional spill directory (``--cache-dir``), one file per key
+  (content-addressed: ``<sha256>.pkl``), written atomically (tmp +
+  rename) so a crashed process never leaves a truncated entry and a
+  later process over the same directory warms from disk for free.  A
+  spilled file that was damaged anyway (disk error, a hand edit) is
+  quarantined on first read, never served.
+
+Keys include :func:`~repro.eval.parallel.code_digest`, so a spill written
+before an edit to the ``repro`` sources is never served after it.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class ResultCache:
     def __init__(self, directory: Optional[os.PathLike] = None) -> None:
         self._memory: Dict[str, bytes] = {}
         self._dir: Optional[Path] = None
-        #: Lifetime hit/miss/store counters (exported as ``serve.cache.*``).
+        #: Lifetime hit/miss/store counters.
         self.hits = 0
         self.misses = 0
         self.stores = 0

@@ -1,128 +1,62 @@
-"""The long-lived experiment daemon: warm pool + queue + result cache.
+"""The embedded experiment daemon: warm pool + FIFO queue + result cache.
 
-``repro serve start`` turns the repo from a batch runner into a service:
-one resident process owns a **persistent warmed**
-:class:`~concurrent.futures.ProcessPoolExecutor` (worker spawn — the cost
-that made ``--jobs`` a loss on small hosts — is paid once at startup, not
-once per sweep), an admission-controlled :class:`~repro.serve.queue
-.JobQueue` dispatching by a registered scheduling policy, and a
-content-addressed :class:`~repro.serve.cache.ResultCache` that turns any
-repeated sweep cell into a zero-cost, provably byte-identical hit.
+One :class:`ServeDaemon` owns a **persistent warmed**
+:class:`~concurrent.futures.ProcessPoolExecutor` (worker spawn is paid
+once at startup, not once per sweep), a FIFO
+:class:`~repro.serve.queue.JobQueue`, and a content-addressed
+:class:`~repro.serve.cache.ResultCache` that turns any repeated sweep cell
+into a zero-cost, provably byte-identical hit.  With a ``cache_dir`` the
+cache spills to disk, so a later process over the same directory serves
+the repeats of an earlier one.
 
-The daemon is a plain polling loop (:meth:`ServeDaemon.step`) so tests
-drive it deterministically in-process while ``serve_forever`` runs the
-same loop against a filesystem :class:`~repro.serve.spool.Spool` for real
-multi-process clients.  Crash isolation mirrors the parallel executor's
-contract: a typed simulation failure (deadlock, verification) travels
-back pickled and marks only its own job ``FAILED``; a hard worker death
-(the pool breaks) fails the in-flight jobs with a typed
-:class:`~repro.errors.ServeError` and the daemon rebuilds its pool and
-keeps serving.
-
-Observability rides the standard :class:`~repro.obs.MetricsRegistry`:
-``serve.*`` counters/gauges/histograms (queue depth, admission rejects,
-cache hit/miss, per-job wait vs service wall time) plus a per-job JSONL
-event log.  Serve metrics are *wall-clock* — they describe the service,
-never the simulations, whose own metrics stay purely simulated-time.
+Crash isolation mirrors the parallel executor's contract: a typed
+simulation failure (deadlock, verification) travels back pickled and
+marks only its own job ``FAILED``; a hard worker death (the pool breaks)
+fails the in-flight jobs with a typed :class:`~repro.errors.ServeError`
+and the daemon rebuilds its pool and keeps serving.
 """
 
 from __future__ import annotations
 
-import json
+import pickle
 import time
-from concurrent.futures import Future
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
-from repro.errors import AdmissionError, ServeError
+from repro.errors import ServeError
 from repro.eval.parallel import RunRequest, execute_request, make_pool, resolve_jobs
-from repro.obs.metrics import MetricsRegistry
 from repro.serve.cache import ResultCache
-from repro.serve.policy import DEFAULT_POLICY, estimate_cost
-from repro.serve.queue import DEFAULT_MAX_DEPTH, Job, JobQueue, JobState
-from repro.serve.spool import Spool
-
-#: Result-file state for a submission refused at the admission gate.
-REJECTED = "rejected"
-
-
-class JobEventLog:
-    """Append-only JSONL log of per-job serving events.
-
-    One line per lifecycle transition — ``{"t": wall seconds, "event":
-    ..., "job": ..., ...}`` — the serving-side sibling of the simulation
-    JSONL stream (:class:`~repro.obs.JsonlTraceSink`).  ``path=None``
-    disables logging at one ``is not None`` check per event.
-    """
-
-    def __init__(self, path: Optional[Path]) -> None:
-        self.path = Path(path) if path is not None else None
-
-    def emit(self, event: str, job_id: str = "", **fields) -> None:
-        if self.path is None:
-            return
-        record = {"t": round(time.time(), 6), "event": event}
-        if job_id:
-            record["job"] = job_id
-        record.update(fields)
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+from repro.serve.queue import Job, JobQueue, JobState
 
 
 class ServeDaemon:
-    """The resident experiment service; see the module docstring."""
+    """The in-process experiment service; see the module docstring."""
 
     def __init__(
         self,
-        spool: Optional[Spool] = None,
         jobs: Optional[int] = None,
-        policy: str = DEFAULT_POLICY,
-        max_depth: int = DEFAULT_MAX_DEPTH,
         cache_dir: Optional[Path] = None,
-        cache: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
-        events_path: Optional[Path] = None,
-        calibration: Optional[Dict] = None,
         runner: Callable[[RunRequest], object] = execute_request,
     ) -> None:
-        self.spool = spool
-        self.queue = JobQueue(policy=policy, max_depth=max_depth)
-        if cache_dir is None and spool is not None:
-            cache_dir = spool.cache_dir
-        self.cache = ResultCache(cache_dir) if cache else None
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if events_path is None and spool is not None:
-            events_path = spool.events_path
-        self.events = JobEventLog(events_path)
-        self.calibration = calibration
+        self.queue = JobQueue()
+        self.cache = ResultCache(cache_dir)
         self._runner = runner
         self._workers = resolve_jobs(jobs)
         self._pool = None
-        self._running: Dict[str, Future] = {}
-        self._started = False
+        self._running: Dict[Future, Job] = {}
         self._stopped = False
 
     @property
-    def workers(self) -> int:
-        """Resolved size of the persistent worker pool."""
-        return self._workers
+    def stopped(self) -> bool:
+        return self._stopped
 
     # ----------------------------------------------------------------- lifecycle
     def start(self) -> "ServeDaemon":
         """Create and warm the persistent worker pool; idempotent."""
         if self._pool is None and not self._stopped:
-            t0 = time.monotonic()
-            self._pool = make_pool(self._workers, warm=True)
-            self.metrics.gauge_set(
-                "serve.pool.workers", float(self._workers)
-            )
-            self.metrics.gauge_set(
-                "serve.pool.warmup_ms",
-                round((time.monotonic() - t0) * 1000.0, 3),
-            )
-            self.events.emit("start", workers=self._workers)
-            self._started = True
+            self._pool = make_pool(self._workers)
         return self
 
     def __enter__(self) -> "ServeDaemon":
@@ -132,245 +66,72 @@ class ServeDaemon:
         self.stop()
 
     # ---------------------------------------------------------------- admission
-    def submit(
-        self,
-        request: RunRequest,
-        priority: int = 0,
-        estimate: Optional[float] = None,
-        job_id: Optional[str] = None,
-    ) -> Job:
-        """Admit one request (or serve it straight from the cache).
+    def submit(self, request: RunRequest) -> Job:
+        """Queue one request, or serve it straight from the cache.
 
-        Raises :class:`AdmissionError` when the queue is at its depth
-        bound or the daemon is stopped.  A cache hit never consumes queue
-        depth: the job is born terminal with the cached metrics attached.
+        A cache hit is born terminal with the cached metrics attached and
+        never waits for a worker.  Raises :class:`ServeError` once the
+        daemon is stopped.
         """
-        from repro.serve.spool import new_job_id
-
         if self._stopped:
-            raise AdmissionError(
-                "daemon is stopped; restart it before submitting",
-                depth=self.queue.depth,
-                limit=self.queue.max_depth,
-            )
-        job_id = job_id or new_job_id()
-        key = None
-        if self.cache is not None:
-            key = request.cache_key()
-            payload = self.cache.get_bytes(key)
-            if payload is not None:
-                self.metrics.inc("serve.cache.hits")
-                import pickle
+            raise ServeError("daemon is stopped; start a new one to submit")
+        key = request.cache_key()
+        job = Job(request=request, cache_key=key)
+        payload = self.cache.get_bytes(key)
+        if payload is not None:
+            job.state = JobState.DONE
+            job.started_at = job.finished_at = job.submitted_at
+            job.metrics = pickle.loads(payload)
+            job.cache_hit = True
+        return self.queue.submit(job)
 
-                job = Job(job_id=job_id, request=request, priority=priority)
-                job.state = JobState.DONE
-                job.started_at = job.submitted_at
-                job.finished_at = time.monotonic()
-                job.metrics = pickle.loads(payload)
-                job.cache_hit = True
-                job.cache_key = key
-                self.queue.adopt(job)
-                self.metrics.inc("serve.jobs.completed")
-                self.events.emit(
-                    "cache-hit", job_id, key=key, workload=request.workload
-                )
-                self._publish(job)
-                return job
-            self.metrics.inc("serve.cache.misses")
-        try:
-            job = self.queue.submit(
-                job_id,
-                request,
-                priority=priority,
-                estimate=(
-                    estimate if estimate is not None
-                    else estimate_cost(request, self.calibration)
-                ),
-            )
-        except AdmissionError as exc:
-            self.metrics.inc("serve.admission.rejected")
-            self.events.emit(
-                "rejected", job_id, depth=exc.depth, limit=exc.limit
-            )
-            raise
-        job.cache_key = key
-        self.metrics.inc("serve.jobs.submitted")
-        self.metrics.gauge_set("serve.queue.depth", float(self.queue.depth))
-        self.metrics.gauge_max(
-            "serve.queue.depth.max", float(self.queue.depth)
-        )
-        self.events.emit(
-            "submitted", job_id,
-            workload=request.workload,
-            setting=request.setting().label,
-            priority=priority,
-        )
-        return job
-
-    # -------------------------------------------------------------------- step
-    def step(self) -> int:
-        """One poll: ingest spool, harvest finished runs, dispatch.
-
-        Returns the number of state transitions made — zero means idle,
-        which is what the serve loop keys its sleep on.
-        """
-        self.start()
-        progress = self._ingest()
-        progress += self._harvest()
-        progress += self._dispatch()
-        return progress
-
-    def _ingest(self) -> int:
-        """Pull spooled submissions into the queue (multi-process path)."""
-        if self.spool is None:
-            return 0
-        progress = 0
-        for path in self.spool.pending_jobs():
-            entry = self.spool.claim(path)
-            if entry is None:
-                continue
-            progress += 1
-            try:
-                self.submit(
-                    entry["request"],
-                    priority=entry.get("priority", 0),
-                    estimate=entry.get("estimate"),
-                    job_id=entry["job_id"],
-                )
-            except AdmissionError as exc:
-                # The gate's verdict travels back typed through the spool.
-                self.spool.write_result(
-                    entry["job_id"],
-                    {
-                        "job_id": entry["job_id"],
-                        "state": REJECTED,
-                        "metrics_bytes": None,
-                        "error": exc,
-                        "cache_hit": False,
-                        "cache_key": None,
-                        "wait_s": None,
-                        "service_s": None,
-                    },
-                )
-        return progress
-
-    def _harvest(self) -> int:
+    # ------------------------------------------------------------------ running
+    def _harvest(self) -> None:
         """Collect finished futures; rebuild the pool after a worker death."""
-        progress = 0
         pool_broken = False
-        for job_id in [j for j, f in self._running.items() if f.done()]:
-            future = self._running.pop(job_id)
-            job = self.queue.get(job_id)
+        for future in [f for f in self._running if f.done()]:
+            job = self._running.pop(future)
             try:
                 job.metrics = future.result()
                 job.state = JobState.DONE
+                self.cache.put(job.cache_key, job.metrics)
             except BrokenProcessPool as exc:
                 pool_broken = True
                 job.error = ServeError(
                     f"worker died mid-job while running "
-                    f"{job.request.workload!r} ({job.job_id}): {exc}"
+                    f"{job.request.workload!r} (job {job.seq}): {exc}"
                 )
                 job.state = JobState.FAILED
             except Exception as exc:  # noqa: BLE001 - typed errors pass through
                 job.error = exc
                 job.state = JobState.FAILED
             job.finished_at = time.monotonic()
-            progress += 1
-            self._finish(job)
         if pool_broken and not self._stopped:
             # Crash isolation: the broken pool took its workers down, not
             # the service.  Stand a fresh warmed pool up and keep going.
             self._pool.shutdown(wait=False)
-            self._pool = make_pool(self._workers, warm=True)
-            self.metrics.inc("serve.pool.rebuilds")
-            self.events.emit("pool-rebuilt", workers=self._workers)
-        return progress
+            self._pool = make_pool(self._workers)
 
-    def _dispatch(self) -> int:
-        """Fill free worker slots in policy order."""
-        progress = 0
+    def _dispatch(self) -> None:
+        """Fill free worker slots in FIFO order."""
         while len(self._running) < self._workers:
             job = self.queue.select_next()
             if job is None:
                 break
-            self._running[job.job_id] = self._pool.submit(
-                self._runner, job.request
-            )
-            self.metrics.gauge_set(
-                "serve.queue.depth", float(self.queue.depth)
-            )
-            self.events.emit(
-                "dispatched", job.job_id,
-                wait_ms=round((job.wait_s or 0.0) * 1000.0, 3),
-            )
-            progress += 1
-        return progress
+            self._running[self._pool.submit(self._runner, job.request)] = job
 
-    def _finish(self, job: Job) -> None:
-        """Terminal bookkeeping: cache, metrics, events, spool result."""
-        if job.state is JobState.DONE:
-            self.metrics.inc("serve.jobs.completed")
-            if self.cache is not None and job.cache_key is not None:
-                self.cache.put(job.cache_key, job.metrics)
-        elif job.state is JobState.FAILED:
-            self.metrics.inc("serve.jobs.failed")
-        else:
-            self.metrics.inc("serve.jobs.cancelled")
-        if job.wait_s is not None:
-            self.metrics.observe(
-                "serve.job.wait_ms", int(job.wait_s * 1000.0)
-            )
-        if job.service_s is not None:
-            self.metrics.observe(
-                "serve.job.service_ms", int(job.service_s * 1000.0)
-            )
-        self.events.emit(
-            job.state.value, job.job_id,
-            wait_ms=round((job.wait_s or 0.0) * 1000.0, 3),
-            service_ms=round((job.service_s or 0.0) * 1000.0, 3),
-            error=(str(job.error) if job.error is not None else None),
-        )
-        self._publish(job)
+    def _wait(self) -> None:
+        """Block until at least one in-flight job finishes, then harvest."""
+        wait(list(self._running), return_when=FIRST_COMPLETED)
+        self._harvest()
 
-    def _publish(self, job: Job) -> None:
-        """Write a terminal job's result payload to the spool (if any)."""
-        if self.spool is None or not job.state.terminal:
-            return
-        from repro.serve.cache import metrics_bytes
-
-        self.spool.write_result(
-            job.job_id,
-            {
-                "job_id": job.job_id,
-                "state": job.state.value,
-                "metrics_bytes": (
-                    metrics_bytes(job.metrics)
-                    if job.metrics is not None else None
-                ),
-                "error": job.error,
-                "cache_hit": job.cache_hit,
-                "cache_key": job.cache_key,
-                "wait_s": job.wait_s,
-                "service_s": job.service_s,
-            },
-        )
-
-    # -------------------------------------------------------------- drain/stop
-    def drain(self, poll_s: float = 0.01) -> None:
-        """Finish every accepted and spooled job; returns when idle."""
+    def drain(self) -> None:
+        """Run every queued job to a terminal state; returns when idle."""
         self.start()
-        while True:
-            progress = self.step()
-            if (
-                not progress
-                and not self._running
-                and self.queue.depth == 0
-                and (self.spool is None or not self.spool.pending_jobs())
-            ):
-                break
-            if not progress:
-                time.sleep(poll_s)
-        self.events.emit("drained")
+        self._dispatch()
+        while self._running:
+            self._wait()
+            self._dispatch()
 
     def stop(self) -> None:
         """Finish in-flight jobs, cancel the backlog, release the pool.
@@ -381,70 +142,10 @@ class ServeDaemon:
         if self._stopped:
             return
         self._stopped = True
-        for job in self.queue.cancel_queued():
-            self._finish(job)
-        # In-flight jobs run to completion: dispatched simulations are
-        # never preempted, matching every scheduling policy's contract.
+        self.queue.cancel_queued()
+        # Dispatched simulations are never preempted.
         while self._running:
-            if not self._harvest():
-                time.sleep(0.01)
+            self._wait()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        self.events.emit("stop")
-        if self.spool is not None:
-            self.spool.write_status(self.status())
-            self.spool.clear_pid()
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
-    # ----------------------------------------------------------------- status
-    def status(self) -> Dict:
-        """The heartbeat document (also ``repro serve status``)."""
-        jobs = self.queue.jobs()
-        return {
-            "stopped": self._stopped,
-            "workers": self._workers,
-            "policy": self.queue.policy.name,
-            "max_depth": self.queue.max_depth,
-            "queued": self.queue.depth,
-            "running": len(self._running),
-            "admitted": self.queue.admitted,
-            "rejected": self.queue.rejected,
-            "completed": sum(
-                1 for j in jobs if j.state is JobState.DONE
-            ),
-            "failed": sum(1 for j in jobs if j.state is JobState.FAILED),
-            "cache": self.cache.stats() if self.cache is not None else None,
-            "metrics": self.metrics.as_dict(),
-        }
-
-    def serve_forever(self, poll_s: float = 0.05) -> None:
-        """The spool-driven service loop (``repro serve start``)."""
-        if self.spool is None:
-            raise ServeError("serve_forever needs a spool to poll")
-        self.spool.clear_control()
-        self.spool.write_pid()
-        self.start()
-        self.spool.write_status(self.status())
-        last_beat = time.monotonic()
-        try:
-            while True:
-                progress = self.step()
-                for drain_marker in self.spool.pending_drains():
-                    self.drain()
-                    self.spool.ack_drain(drain_marker)
-                    self.spool.write_status(self.status())
-                if self.spool.stop_requested():
-                    break
-                now = time.monotonic()
-                if progress or now - last_beat >= 1.0:
-                    self.spool.write_status(self.status())
-                    last_beat = now
-                if not progress:
-                    time.sleep(poll_s)
-        finally:
-            self.stop()
-            self.spool.stop_file.unlink(missing_ok=True)

@@ -1,97 +1,43 @@
-"""A serve-backed drop-in for :func:`repro.eval.parallel.run_requests`.
+"""A cached drop-in for :func:`repro.eval.parallel.run_requests`.
 
 Every sweep in ``repro.eval`` funnels through one API — a list of
 :class:`~repro.eval.parallel.RunRequest` in, a list of
 :class:`~repro.eval.metrics.RunMetrics` out, submission order preserved,
 first failure re-raised typed.  :class:`ServeExecutor` implements exactly
-that contract on top of the serve layer, so ``repro batch``, ``repro
-load`` and ``repro autotune --burst`` can route through a daemon (its
-warm pool and result cache included) by passing ``executor=`` — no other
-code changes, and byte-identical results by the same determinism
-argument as ``--jobs``.
-
-Two backends:
-
-* **embedded** (:meth:`ServeExecutor.local`) — a private in-process
-  :class:`~repro.serve.daemon.ServeDaemon`.  The pool stays warm across
-  calls, which is the whole point: back-to-back sweeps stop paying the
-  worker spawn cost that made ``--jobs`` a loss on small hosts.
-* **remote** (:meth:`ServeExecutor.remote`) — a
-  :class:`~repro.serve.client.ServeClient` on a spool served by a
-  ``repro serve start`` daemon in another process.  An admission
-  rejection mid-grid is retried with backoff (the gate says "later",
-  not "never"), so grids larger than the daemon's queue bound still
-  complete.
+that contract on an embedded :class:`~repro.serve.daemon.ServeDaemon`, so
+``repro batch``, ``repro load`` and ``repro autotune --burst`` route
+through its warm pool and result cache by passing ``executor=`` — no other
+code changes, and byte-identical results by the same determinism argument
+as ``--jobs``.
 """
 
 from __future__ import annotations
 
-import time
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from repro.errors import AdmissionError, ConfigError, ServeError
 from repro.eval.metrics import RunMetrics
-from repro.eval.parallel import RunRequest
-from repro.serve.client import ServeClient
+from repro.eval.parallel import RunRequest, execute_request
 from repro.serve.daemon import ServeDaemon
-from repro.serve.policy import DEFAULT_POLICY
-from repro.serve.queue import DEFAULT_MAX_DEPTH, JobState
-
-#: Outstanding submissions a remote executor keeps in flight per chunk —
-#: below the default admission bound so a well-configured daemon never
-#: rejects a chunk outright.
-DEFAULT_CHUNK = 32
+from repro.serve.queue import JobState
 
 
 class ServeExecutor:
-    """``run_requests``-shaped callable backed by the serve layer."""
+    """``run_requests``-shaped callable owning an embedded daemon."""
 
-    def __init__(
-        self,
-        daemon: Optional[ServeDaemon] = None,
-        client: Optional[ServeClient] = None,
-        chunk: int = DEFAULT_CHUNK,
-        timeout: Optional[float] = 600.0,
-    ) -> None:
-        if (daemon is None) == (client is None):
-            raise ConfigError(
-                "ServeExecutor needs exactly one backend: an embedded "
-                "daemon or a spool client"
-            )
-        if chunk < 1:
-            raise ConfigError(f"chunk must be >= 1, got {chunk}")
+    def __init__(self, daemon: ServeDaemon) -> None:
         self.daemon = daemon
-        self.client = client
-        self.chunk = chunk
-        self.timeout = timeout
-        self._owns_daemon = False
 
-    # -------------------------------------------------------------- constructors
     @classmethod
     def local(
         cls,
         jobs: Optional[int] = None,
-        policy: str = DEFAULT_POLICY,
-        max_depth: int = DEFAULT_MAX_DEPTH,
         cache_dir=None,
-        cache: bool = True,
-        **daemon_kwargs,
+        runner: Callable[[RunRequest], object] = execute_request,
     ) -> "ServeExecutor":
-        """An executor owning a private, already-warmed embedded daemon."""
-        daemon = ServeDaemon(
-            jobs=jobs, policy=policy, max_depth=max_depth,
-            cache_dir=cache_dir, cache=cache, **daemon_kwargs,
-        ).start()
-        executor = cls(daemon=daemon)
-        executor._owns_daemon = True
-        return executor
+        """An executor owning a private, already-warmed daemon; results
+        spill to *cache_dir* when given."""
+        return cls(ServeDaemon(jobs=jobs, cache_dir=cache_dir, runner=runner).start())
 
-    @classmethod
-    def remote(cls, spool, **kwargs) -> "ServeExecutor":
-        """An executor talking to a ``repro serve start`` daemon."""
-        return cls(client=ServeClient(spool), **kwargs)
-
-    # ------------------------------------------------------------------ running
     def __call__(
         self, requests: Sequence[RunRequest], jobs: Optional[int] = None
     ) -> List[RunMetrics]:
@@ -101,64 +47,16 @@ class ServeExecutor:
         :func:`~repro.eval.parallel.run_requests` and ignored — the
         daemon's worker pool governs parallelism.
         """
-        requests = list(requests)
-        if self.daemon is not None:
-            return self._run_embedded(requests)
-        return self._run_remote(requests)
-
-    def run_requests(
-        self, requests: Sequence[RunRequest], jobs: Optional[int] = None
-    ) -> List[RunMetrics]:
-        """Alias of :meth:`__call__`, for callers that prefer the name."""
-        return self(requests, jobs=jobs)
-
-    def _run_embedded(self, requests: List[RunRequest]) -> List[RunMetrics]:
-        jobs = []
-        for request in requests:
-            while True:
-                try:
-                    jobs.append(self.daemon.submit(request))
-                    break
-                except AdmissionError:
-                    # The gate is a *flow-control* signal here: make
-                    # progress (dispatch + harvest frees depth) and retry.
-                    if not self.daemon.step():
-                        time.sleep(0.005)
+        jobs = [self.daemon.submit(request) for request in requests]
         self.daemon.drain()
         for job in jobs:
             if job.state is JobState.FAILED:
                 raise job.error
-            if job.state is not JobState.DONE:
-                raise ServeError(
-                    f"job {job.job_id} ended {job.state.value!r} mid-grid"
-                )
         return [job.metrics for job in jobs]
 
-    def _run_remote(self, requests: List[RunRequest]) -> List[RunMetrics]:
-        metrics: List[RunMetrics] = []
-        for base in range(0, len(requests), self.chunk):
-            window = requests[base:base + self.chunk]
-            job_ids = [self.client.submit(request) for request in window]
-            for offset, job_id in enumerate(job_ids):
-                while True:
-                    try:
-                        metrics.append(
-                            self.client.result(job_id, timeout=self.timeout)
-                        )
-                        break
-                    except AdmissionError:
-                        # Rejected at the gate: back off and resubmit the
-                        # same request (same cache key, so nothing is
-                        # recomputed if it completed elsewhere meanwhile).
-                        time.sleep(0.05)
-                        job_id = self.client.submit(window[offset])
-        return metrics
-
-    # ------------------------------------------------------------------ cleanup
     def close(self) -> None:
-        """Stop the embedded daemon (remote daemons belong to their spool)."""
-        if self._owns_daemon and self.daemon is not None:
-            self.daemon.stop()
+        """Stop the embedded daemon and release its pool."""
+        self.daemon.stop()
 
     def __enter__(self) -> "ServeExecutor":
         return self

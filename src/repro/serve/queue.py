@@ -1,32 +1,24 @@
-"""The admission-controlled job queue behind the serve daemon.
+"""The FIFO job queue behind the serve daemon.
 
 A :class:`Job` wraps one :class:`~repro.eval.parallel.RunRequest` with
 its serving lifecycle — ``QUEUED → RUNNING → DONE | FAILED`` (or
-``CANCELLED`` when a stop discards queued work).  The queue itself is
-deliberately small: it owns admission (a bounded depth that rejects with
-the typed :class:`~repro.errors.AdmissionError` instead of queueing
-unboundedly) and delegates *which job runs next* to a registered
-:class:`~repro.serve.policy.SchedPolicy`.  Wall-clock timestamps live on
-the job so the daemon can report per-job wait vs service time — these are
-serving metrics, measured in real seconds, entirely separate from the
-deterministic simulated clock inside each run.
+``CANCELLED`` when a stop discards queued work).  Jobs dispatch in
+admission order.  Wall-clock timestamps live on the job so callers can
+report per-job wait vs service time — serving figures, measured in real
+seconds, entirely separate from the deterministic simulated clock inside
+each run.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional
+from typing import Deque, List, Optional
 
-from repro.errors import AdmissionError, ConfigError, JobNotFoundError
 from repro.eval.metrics import RunMetrics
 from repro.eval.parallel import RunRequest
-from repro.serve.policy import DEFAULT_POLICY, SchedPolicy, make_sched_policy
-
-#: Default bound on queued (admitted, not yet running) jobs.
-DEFAULT_MAX_DEPTH = 64
 
 
 class JobState(str, Enum):
@@ -36,25 +28,15 @@ class JobState(str, Enum):
     FAILED = "failed"
     CANCELLED = "cancelled"
 
-    @property
-    def terminal(self) -> bool:
-        return self in (JobState.DONE, JobState.FAILED, JobState.CANCELLED)
-
 
 @dataclass
 class Job:
     """One admitted run request and its serving lifecycle."""
 
-    job_id: str
     request: RunRequest
-    priority: int = 0
-    #: Rank-only cost estimate (see :func:`repro.serve.policy.estimate_cost`).
-    estimate: float = 0.0
     #: Monotone admission sequence number — FIFO order within the daemon.
     seq: int = 0
     state: JobState = JobState.QUEUED
-    #: Times the shortest-first policy skipped this job (starvation aging).
-    passed_over: int = 0
     #: Wall-clock lifecycle stamps (seconds, time.monotonic domain).
     submitted_at: float = field(default_factory=time.monotonic)
     started_at: Optional[float] = None
@@ -80,111 +62,38 @@ class Job:
             return None
         return self.finished_at - self.started_at
 
-    def describe(self) -> Dict:
-        """A JSON-able status snapshot (spool heartbeats, CLI status)."""
-        return {
-            "job_id": self.job_id,
-            "workload": self.request.workload,
-            "setting": self.request.setting().label,
-            "priority": self.priority,
-            "estimate": self.estimate,
-            "state": self.state.value,
-            "cache_hit": self.cache_hit,
-            "wait_s": self.wait_s,
-            "service_s": self.service_s,
-        }
-
 
 class JobQueue:
-    """Bounded queue of admitted jobs with pluggable dispatch order."""
+    """Unbounded FIFO of admitted jobs plus the record of every job."""
 
-    def __init__(
-        self,
-        policy: str | SchedPolicy = DEFAULT_POLICY,
-        max_depth: int = DEFAULT_MAX_DEPTH,
-    ) -> None:
-        if max_depth < 1:
-            raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
-        self.policy = (
-            policy if isinstance(policy, SchedPolicy)
-            else make_sched_policy(policy)
-        )
-        self.max_depth = max_depth
-        self._queued: List[Job] = []
-        self._jobs: Dict[str, Job] = {}
-        self._seq = itertools.count()
-        #: Lifetime counters (exported as ``serve.admission.*`` metrics).
-        self.admitted = 0
-        self.rejected = 0
+    def __init__(self) -> None:
+        self._queued: Deque[Job] = deque()
+        self._jobs: List[Job] = []
 
-    # --------------------------------------------------------------- admission
-    def submit(
-        self,
-        job_id: str,
-        request: RunRequest,
-        priority: int = 0,
-        estimate: float = 0.0,
-    ) -> Job:
-        """Admit one request, or raise :class:`AdmissionError` at the gate."""
-        if len(self._queued) >= self.max_depth:
-            self.rejected += 1
-            raise AdmissionError(
-                f"job queue is full ({len(self._queued)}/{self.max_depth} "
-                f"queued); rejected {request.workload!r} — back off and "
-                "resubmit",
-                depth=len(self._queued),
-                limit=self.max_depth,
-            )
-        if job_id in self._jobs:
-            raise ConfigError(f"job id {job_id!r} was already submitted")
-        job = Job(
-            job_id=job_id,
-            request=request,
-            priority=priority,
-            estimate=estimate,
-            seq=next(self._seq),
-        )
-        self._jobs[job_id] = job
-        self._queued.append(job)
-        self.admitted += 1
+    def submit(self, job: Job) -> Job:
+        """Record *job*; a ``QUEUED`` job also waits for dispatch (a cache
+        hit is born terminal and only joins the record)."""
+        job.seq = len(self._jobs)
+        self._jobs.append(job)
+        if job.state is JobState.QUEUED:
+            self._queued.append(job)
         return job
 
-    def adopt(self, job: Job) -> Job:
-        """Register a job that bypassed the queue (a cache hit is born
-        terminal and never consumes queue depth)."""
-        if job.job_id in self._jobs:
-            raise ConfigError(f"job id {job.job_id!r} was already submitted")
-        job.seq = next(self._seq)
-        self._jobs[job.job_id] = job
-        return job
-
-    # ---------------------------------------------------------------- dispatch
     def select_next(self) -> Optional[Job]:
-        """Pop the policy's pick (None when nothing is queued)."""
+        """Pop the oldest queued job (None when nothing is queued)."""
         if not self._queued:
             return None
-        job = self.policy.select(self._queued)
-        self._queued.remove(job)
+        job = self._queued.popleft()
         job.state = JobState.RUNNING
         job.started_at = time.monotonic()
         return job
 
-    def cancel_queued(self) -> List[Job]:
+    def cancel_queued(self) -> None:
         """Cancel every still-queued job (a stop discarding backlog)."""
-        cancelled = []
         for job in self._queued:
             job.state = JobState.CANCELLED
             job.finished_at = time.monotonic()
-            cancelled.append(job)
         self._queued.clear()
-        return cancelled
-
-    # ----------------------------------------------------------------- queries
-    def get(self, job_id: str) -> Job:
-        job = self._jobs.get(job_id)
-        if job is None:
-            raise JobNotFoundError(f"unknown job id {job_id!r}")
-        return job
 
     @property
     def depth(self) -> int:
@@ -193,4 +102,4 @@ class JobQueue:
 
     def jobs(self) -> List[Job]:
         """Every job ever admitted, in admission order."""
-        return sorted(self._jobs.values(), key=lambda job: job.seq)
+        return list(self._jobs)

@@ -61,7 +61,7 @@ class QueueLibrary:
         sqi = self._next_sqi
         self._next_sqi += 1
         # Reserve the row eagerly on the owning router (SQIs shard across
-        # routers when config.num_routers > 1).
+        # routers when config.num_srds > 1).
         self.system.device_for(sqi).linktab.row(sqi)
         return sqi
 

@@ -89,14 +89,6 @@ def test_queues_partition_across_shards():
     assert system.device_for(sqi_a) is system.devices[sqi_a % 2]
 
 
-def test_num_routers_alias_builds_shards():
-    from repro.system import System
-
-    system = System(config=SystemConfig(num_routers=2), device="vl")
-    assert len(system.devices) == 2
-    assert SystemConfig(num_routers=2).effective_srds == 2
-
-
 def test_sharded_run_aggregates_stats_across_devices():
     metrics = run("crossbar", setting="tuned", num_srds=4)
     assert metrics.push_attempts > 0  # summed over all four shards
@@ -132,11 +124,6 @@ def test_mesh_dims_must_cover_cores():
         SystemConfig(topology="mesh", mesh_dims=(2, 2), num_cores=16)
     with pytest.raises(ConfigError, match="positive"):
         SystemConfig(topology="mesh", mesh_dims=(0, 4))
-
-
-def test_conflicting_srd_knobs_rejected():
-    with pytest.raises(ConfigError, match="num_srds"):
-        SystemConfig(num_srds=2, num_routers=4)
 
 
 def test_num_srds_round_trips_through_dict():

@@ -4,11 +4,14 @@ The cache-correctness claim is an equivalence: two requests share a cache
 key **iff** they would produce byte-identical pickled
 :class:`~repro.eval.metrics.RunMetrics` (bit-wise determinism makes the
 forward direction true; these tests pin both directions plus the
-conservative invalidators — key version and registry generation).
+conservative invalidators — key version, code digest and registry
+generation).
 """
 
 import dataclasses
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -52,25 +55,43 @@ def test_equal_keys_mean_byte_identical_metrics():
 
 
 # -------------------------------------------------------------- sensitivity
+KEY_FIELD_OVERRIDES = [
+    {"workload": "incast"},
+    {"device": "vlrd"},
+    {"algorithm": None},
+    {"label": "renamed"},
+    {"scale": SCALE * 2},
+    {"seed": SEED + 1},
+    {"config": SystemConfig()},
+    {"limit": 10_000_000},
+    {"validate": False},
+    {"verify": True},
+    {"arrival": ArrivalSpec.make("poisson", rate=0.001)},
+    {"code_digest": "0" * 64},
+]
+
+
 @pytest.mark.parametrize(
-    "overrides",
-    [
-        {"workload": "incast"},
-        {"device": "vlrd"},
-        {"algorithm": None},
-        {"label": "renamed"},
-        {"scale": SCALE * 2},
-        {"seed": SEED + 1},
-        {"config": SystemConfig()},
-        {"limit": 10_000_000},
-        {"validate": False},
-        {"verify": True},
-        {"arrival": ArrivalSpec.make("poisson", rate=0.001)},
-    ],
-    ids=lambda o: next(iter(o)),
+    "overrides", KEY_FIELD_OVERRIDES, ids=lambda o: next(iter(o))
 )
-def test_every_request_field_changes_the_key(overrides):
-    assert _request(**overrides).cache_key() != _request().cache_key()
+def test_every_request_field_changes_the_key(overrides, monkeypatch):
+    base = _request().cache_key()
+    if "code_digest" in overrides:
+        # Not a request field but a payload one: the sources' identity.
+        monkeypatch.setattr("repro.eval.parallel.code_digest",
+                            lambda: overrides["code_digest"])
+        assert _request().cache_key() != base
+        return
+    assert _request(**overrides).cache_key() != base
+
+
+def test_key_field_overrides_cover_the_payload():
+    # Every payload entry is exercised above, except the two invalidators
+    # with tests of their own below.
+    covered = {next(iter(o)) for o in KEY_FIELD_OVERRIDES}
+    assert covered | {"version", "registry_generation"} == set(
+        _request().cache_payload()
+    )
 
 
 def test_any_config_field_change_changes_the_key():
@@ -110,6 +131,38 @@ def test_key_version_is_part_of_the_key(monkeypatch):
     base = _request().cache_key()
     monkeypatch.setattr("repro.eval.parallel.CACHE_KEY_VERSION", 2)
     assert _request().cache_key() != base
+
+
+def test_code_digest_covers_every_source_byte(tmp_path, monkeypatch):
+    from repro.eval import parallel
+
+    package = Path(parallel.__file__).resolve().parent.parent
+    copy = tmp_path / "repro"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    # Point the uncached digest at the copy: same bytes, same digest.
+    monkeypatch.setattr(parallel, "__file__", str(copy / "eval" / "parallel.py"))
+    digest = parallel.code_digest.__wrapped__
+    assert digest() == parallel.code_digest()
+    units = copy / "units.py"
+    source = units.read_bytes()  # edited in place: same length
+    units.write_bytes(source[:-1] + (b" " if source[-1:] != b" " else b"\n"))
+    edited = digest()
+    assert edited != parallel.code_digest()
+    (copy / "extra.py").write_text("")
+    assert digest() not in (edited, parallel.code_digest())
+
+
+def test_changed_code_digest_misses_a_spilled_entry(tmp_path, monkeypatch):
+    request = _request()
+    metrics = execute_request(request)
+    ResultCache(tmp_path).put(request.cache_key(), metrics)
+    assert ResultCache(tmp_path).lookup(request) == metrics
+    # An edit to the sources changes the digest: the entry spilled
+    # before it must miss rather than serve pre-edit metrics.
+    monkeypatch.setattr("repro.eval.parallel.code_digest", lambda: "f" * 64)
+    reopened = ResultCache(tmp_path)
+    assert reopened.lookup(request) is None
+    assert (reopened.hits, reopened.misses) == (0, 1)
 
 
 def test_registry_generation_is_part_of_the_key(monkeypatch):

@@ -1,25 +1,26 @@
-"""ServeExecutor: the run_requests-shaped surface over the serve layer.
+"""ServeExecutor: the run_requests-shaped cached executor.
 
 The contract under test is substitution: anywhere ``run_requests`` goes —
 ``repro batch``, the load sweep, the burst autotuner — a
 :class:`~repro.serve.ServeExecutor` must produce byte-identical results,
-embedded or over a spool, cached or fresh.  Plus the warm-pool satellite:
-``run_requests(pool=...)`` reuses a live executor without changing a bit.
+cached or fresh, in one process or across two over a ``--cache-dir``.
 """
 
 import dataclasses
-import threading
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.errors import AdmissionError, ConfigError
+from repro.cli import main
 from repro.eval.batch import run_batch
-from repro.eval.parallel import RunRequest, make_pool, run_requests
+from repro.eval.parallel import RunRequest, execute_request, make_pool, run_requests
 from repro.eval.runner import setting_by_name
-from repro.serve import ServeDaemon, ServeExecutor, Spool
+from repro.serve import Job, ResultCache, ServeExecutor
 
 SCALE = 0.05
 SEED = 0xC0FFEE
+QUICK_STUDY = Path(__file__).resolve().parent.parent / "examples/specs/quick_study.json"
 
 
 def _requests(n=4):
@@ -48,14 +49,6 @@ def test_embedded_executor_matches_run_requests():
         assert executor.daemon.cache.hits == len(requests)
 
 
-def test_embedded_executor_retries_past_the_admission_gate():
-    requests = _requests()
-    # max_depth=1 guarantees mid-grid rejections; the executor must treat
-    # them as flow control and still return every result in order.
-    with ServeExecutor.local(jobs=1, max_depth=1) as executor:
-        assert _snap(executor(requests)) == _snap(run_requests(requests))
-
-
 def test_executor_reraises_the_first_typed_failure():
     from repro.errors import SimDeadlockError
 
@@ -67,35 +60,32 @@ def test_executor_reraises_the_first_typed_failure():
             executor([_requests(1)[0], bad])
 
 
-def test_executor_constructor_contracts():
-    with pytest.raises(ConfigError):
-        ServeExecutor()  # neither backend
-    daemon = ServeDaemon(jobs=1)
-    try:
-        with pytest.raises(ConfigError):
-            ServeExecutor(daemon=daemon, client=object())  # both
-        with pytest.raises(ConfigError):
-            ServeExecutor(daemon=daemon, chunk=0)
-    finally:
-        daemon.stop()
-
-
-# ------------------------------------------------------------------ remote
-def test_remote_executor_matches_run_requests(tmp_path):
+def test_executor_keeps_the_surface_perfbench_reads():
+    # The cached-sweep benchmark drives the executor through exactly this
+    # surface: local(jobs=, runner=), call, .daemon.cache.stats(),
+    # .daemon.queue.jobs() in admission order with per-job cache and
+    # timing fields, and close().
     requests = _requests(2)
-    expected = _snap(run_requests(requests))
-    spool = Spool(tmp_path / "spool")
-    daemon = ServeDaemon(spool=spool, jobs=1)
-    thread = threading.Thread(target=daemon.serve_forever,
-                              kwargs={"poll_s": 0.01}, daemon=True)
-    thread.start()
+    executor = ServeExecutor.local(jobs=1, runner=execute_request)
     try:
-        executor = ServeExecutor.remote(spool, timeout=120.0)
-        assert _snap(executor(requests)) == expected
+        first = executor(requests)
+        assert _snap(executor(requests[:1])) == _snap(first[:1])
+        assert isinstance(executor.daemon.cache, ResultCache)
+        stats = executor.daemon.cache.stats()
+        assert (stats["hits"], stats["misses"]) == (1, 2)
+        jobs = executor.daemon.queue.jobs()
+        assert all(isinstance(job, Job) for job in jobs)
+        assert [job.request for job in jobs] == requests + requests[:1]
+        assert [job.cache_hit for job in jobs] == [False, False, True]
+        assert [job.cache_key for job in jobs] == [
+            r.cache_key() for r in requests + requests[:1]
+        ]
+        for job in jobs:
+            assert job.wait_s is not None and job.wait_s >= 0
+            assert job.service_s is not None and job.service_s >= 0
     finally:
-        spool.request_stop()
-        thread.join(timeout=30.0)
-    assert not thread.is_alive()
+        executor.close()
+    assert executor.daemon.stopped
 
 
 # ------------------------------------------------------------- eval routing
@@ -139,22 +129,24 @@ def test_autotune_burst_routes_through_the_executor():
     assert served.baseline_score == direct.baseline_score
 
 
+# ------------------------------------------------------------------- CLI
+def test_batch_cache_dir_second_run_is_all_hits(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    reports = []
+    for attempt in range(2):
+        out = tmp_path / f"r{attempt}.json"
+        main(["batch", str(QUICK_STUDY), "--cache-dir", str(cache_dir),
+              "--out", str(out)])
+        reports.append(out.read_bytes())
+        printed = capsys.readouterr().out
+        assert f"cache hits: {9 if attempt else 0}/9" in printed
+    assert reports[0] == reports[1]
+    assert json.loads(reports[1])["name"] == "quick-study"
+
+
 # --------------------------------------------------------------- warm pool
-def test_run_requests_reuses_a_live_pool_byte_identically():
-    requests = _requests(2)
-    expected = _snap(run_requests(requests, jobs=2))
-    pool = make_pool(2)
-    try:
-        first = run_requests(requests, pool=pool)
-        second = run_requests(requests, pool=pool)
-        assert _snap(first) == expected
-        assert _snap(second) == expected
-    finally:
-        pool.shutdown(wait=True)
-
-
 def test_make_pool_is_prewarmed():
-    pool = make_pool(2, warm=True)
+    pool = make_pool(2)
     try:
         # Warmed pools have already spawned their full complement.
         assert len(pool._processes) == 2

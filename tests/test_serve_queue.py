@@ -1,27 +1,12 @@
-"""Admission gate and scheduling policies: the queue's contracts.
+"""The serve job queue: FIFO dispatch and the admission record.
 
-Policies only ever reorder *queued* jobs — a dispatched job is never
-preempted — and the admission bound rejects with the typed
-:class:`~repro.errors.AdmissionError` rather than queueing unboundedly.
+Jobs dispatch in admission order, a dispatched job is never preempted,
+and a stop cancels only what is still queued.
 """
 
-import pickle
-
-import pytest
-
-from repro.errors import AdmissionError, ConfigError, JobNotFoundError
 from repro.eval.parallel import RunRequest
 from repro.eval.runner import setting_by_name
-from repro.serve import (
-    STARVATION_LIMIT,
-    JobQueue,
-    JobState,
-    calibrated_estimates,
-    estimate_cost,
-    make_sched_policy,
-    sched_policy_names,
-)
-from repro.serve.policy import ShortestFirstPolicy
+from repro.serve import Job, JobQueue, JobState
 
 
 def _request(workload="ping-pong", scale=0.05):
@@ -30,158 +15,25 @@ def _request(workload="ping-pong", scale=0.05):
     )
 
 
-# ---------------------------------------------------------------- admission
-def test_admission_gate_rejects_typed_at_the_bound():
-    queue = JobQueue(max_depth=2)
-    queue.submit("a", _request())
-    queue.submit("b", _request())
-    with pytest.raises(AdmissionError) as excinfo:
-        queue.submit("c", _request())
-    assert excinfo.value.depth == 2
-    assert excinfo.value.limit == 2
-    assert queue.admitted == 2
-    assert queue.rejected == 1
-    # Dispatching frees depth: the gate is flow control, not a hard cap.
-    assert queue.select_next().job_id == "a"
-    queue.submit("c", _request())
-    assert queue.depth == 2
-
-
-def test_admission_error_pickles_with_its_fields():
-    error = AdmissionError("full", depth=7, limit=8)
-    clone = pickle.loads(pickle.dumps(error))
-    assert isinstance(clone, AdmissionError)
-    assert (clone.depth, clone.limit) == (7, 8)
-    assert "full" in str(clone)
-
-
-def test_duplicate_job_id_is_a_config_error():
-    queue = JobQueue()
-    queue.submit("a", _request())
-    with pytest.raises(ConfigError):
-        queue.submit("a", _request())
-
-
-def test_unknown_job_id_raises_job_not_found():
-    with pytest.raises(JobNotFoundError):
-        JobQueue().get("nope")
-
-
-def test_bad_depth_and_unknown_policy_are_config_errors():
-    with pytest.raises(ConfigError):
-        JobQueue(max_depth=0)
-    with pytest.raises(ConfigError):
-        make_sched_policy("does-not-exist")
-
-
-# ------------------------------------------------------------------ registry
-def test_policy_registry_names():
-    names = sched_policy_names()
-    assert {"fifo", "priority", "shortest-first"} <= set(names)
-    assert names == sorted(names)
-
-
-# ---------------------------------------------------------------------- fifo
 def test_fifo_preserves_submission_order():
-    queue = JobQueue(policy="fifo", max_depth=16)
-    # Priorities and estimates are deliberately adversarial: FIFO must
-    # ignore both.
-    for i, (priority, estimate) in enumerate(
-        [(0, 9.0), (5, 1.0), (-3, 4.0), (2, 0.5)]
-    ):
-        queue.submit(f"job-{i}", _request(), priority=priority,
-                     estimate=estimate)
-    order = [queue.select_next().job_id for _ in range(4)]
-    assert order == ["job-0", "job-1", "job-2", "job-3"]
+    queue = JobQueue()
+    workloads = ["incast", "ping-pong", "FIR", "halo"]
+    for workload in workloads:
+        queue.submit(Job(request=_request(workload)))
+    order = [queue.select_next().request.workload for _ in workloads]
+    assert order == workloads
+    assert queue.select_next() is None
+    assert [job.seq for job in queue.jobs()] == [0, 1, 2, 3]
+    assert all(job.state is JobState.RUNNING for job in queue.jobs())
 
 
-# ------------------------------------------------------------------ priority
-def test_priority_overtakes_queued_but_never_running():
-    queue = JobQueue(policy="priority", max_depth=16)
-    queue.submit("sweep-1", _request(), priority=0)
-    queue.submit("sweep-2", _request(), priority=0)
-    running = queue.select_next()
-    assert running.job_id == "sweep-1"
+def test_cancel_queued_leaves_running_jobs_alone():
+    queue = JobQueue()
+    running = queue.submit(Job(request=_request()))
+    waiting = queue.submit(Job(request=_request("incast")))
+    assert queue.select_next() is running
+    queue.cancel_queued()
     assert running.state is JobState.RUNNING
-    # A late high-priority probe jumps every *queued* job...
-    queue.submit("probe", _request(), priority=10)
-    assert queue.select_next().job_id == "probe"
-    # ...but the running job was untouched: still running, never re-queued.
-    assert running.state is JobState.RUNNING
-    assert queue.select_next().job_id == "sweep-2"
-
-
-def test_priority_is_fifo_within_a_level():
-    queue = JobQueue(policy="priority", max_depth=16)
-    for name in ("a", "b", "c"):
-        queue.submit(name, _request(), priority=3)
-    assert [queue.select_next().job_id for _ in range(3)] == ["a", "b", "c"]
-
-
-# ------------------------------------------------------------ shortest-first
-def test_shortest_first_runs_cheap_jobs_first():
-    queue = JobQueue(policy="shortest-first", max_depth=16)
-    queue.submit("big", _request(), estimate=1000.0)
-    queue.submit("small", _request(), estimate=1.0)
-    queue.submit("medium", _request(), estimate=10.0)
-    order = [queue.select_next().job_id for _ in range(3)]
-    assert order == ["small", "medium", "big"]
-
-
-def test_shortest_first_starvation_bound():
-    limit = 3
-    queue = JobQueue(policy=ShortestFirstPolicy(starvation_limit=limit),
-                     max_depth=64)
-    queue.submit("long", _request(), estimate=1000.0)
-    # A steady stream of short jobs: without aging, "long" never runs.
-    dispatched = []
-    next_short = 0
-    for round_no in range(limit + 1):
-        queue.submit(f"short-{next_short}", _request(), estimate=1.0)
-        next_short += 1
-        dispatched.append(queue.select_next().job_id)
-    # "long" was passed over exactly `limit` times, then forced through
-    # even though a cheaper job was queued.
-    assert dispatched[:limit] == [f"short-{i}" for i in range(limit)]
-    assert dispatched[limit] == "long"
-    assert queue.get("long").passed_over >= limit
-
-
-def test_default_starvation_limit_is_pinned():
-    assert STARVATION_LIMIT == 8
-    assert ShortestFirstPolicy().starvation_limit == STARVATION_LIMIT
-    with pytest.raises(ConfigError):
-        ShortestFirstPolicy(starvation_limit=0)
-
-
-# ----------------------------------------------------------------- estimates
-def test_estimate_cost_ranks_by_size():
-    small = estimate_cost(_request(scale=0.02))
-    big = estimate_cost(_request(scale=0.5))
-    assert 0 < small < big
-
-
-def test_estimate_cost_prefers_calibration():
-    class FakeLoadResult:
-        calibration = [
-            {"topology": "single-bus", "setting": "SPAMeR(tuned)",
-             "requests": 100, "cycles": 4242, "service_rate": 0.02},
-        ]
-
-    table = calibrated_estimates(FakeLoadResult())
-    assert table == {("single-bus", "SPAMeR(tuned)"): 4242.0}
-    assert estimate_cost(_request(), calibration=table) == 4242.0
-    # A cell the table does not cover falls back to the heuristic.
-    other = RunRequest.from_setting(
-        "ping-pong", setting_by_name("vl"), scale=0.05
-    )
-    assert estimate_cost(other, calibration=table) == estimate_cost(other)
-
-
-def test_estimate_cost_handles_closed_only_workloads():
-    # Dependency-driven workloads have no session quotas; the estimate
-    # must still be a positive rank.
-    closed = RunRequest.from_setting(
-        "bitonic", setting_by_name("tuned"), scale=0.05
-    )
-    assert estimate_cost(closed) > 0
+    assert waiting.state is JobState.CANCELLED
+    assert waiting.finished_at is not None
+    assert queue.depth == 0

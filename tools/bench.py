@@ -599,9 +599,8 @@ def run_serve_benchmark(
       cell is a content-addressed cache hit, asserted 100%, and the
       bytes returned are the exact bytes the warm pass stored.
 
-    Timings are records, not thresholds, like every BENCH_*.json — but
-    the warm-vs-cold comparison is the serve layer's reason to exist, so
-    the document calls it out as ``speedup_warm_vs_cold``.
+    Timings are records, not thresholds, like every BENCH_*.json; the
+    document calls out ``speedup_warm_vs_cold`` and the cached margin.
     """
     import pickle
 
