@@ -13,7 +13,7 @@ Buffer provisioning scales with the machine: Table 1's 64 SRD entries are
 4 per core at 16 cores, and :func:`scaling_config` keeps that per-core
 ratio (``max(64, 4 × cores)``) so a 64-core halo (224 queues/endpoints)
 fits without changing the 16-core default.  Exposed on the CLI as
-``repro scale``; ``tools/bench.py --net`` wall-clocks the same matrix.
+``repro scale``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ full catalogue is docs/OBSERVABILITY.md).  Hot paths hold an *optional*
 reference to a registry and guard every call with ``is not None`` — with
 observability off the reference is ``None`` and the instrumented code costs
 one attribute load per site, which is what keeps the golden metrics
-bit-identical and the perf-smoke wall time within the <3% overhead gate.
+bit-identical and the default-path wall time within the <3% overhead gate.
 
 Design constraints (shared with :mod:`repro.sim.hooks`):
 

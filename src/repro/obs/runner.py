@@ -36,8 +36,8 @@ from repro.obs.perfetto import JsonlTraceSink, PerfettoTraceSink
 #: submission index — disjoint per cell, stable across jobs counts.
 PID_BLOCK = 8
 
-#: The fig8 smoke matrix (matches tools/bench.py --quick): small enough for
-#: CI and golden fixtures, large enough to exercise both devices.
+#: The fig8 smoke matrix (the ``tools/bench.py --obs-gate`` matrix): small
+#: enough for CI and golden fixtures, large enough to exercise both devices.
 SMOKE_WORKLOADS = ("ping-pong", "incast")
 SMOKE_SETTINGS = ("vl", "tuned")
 SMOKE_SCALE = 0.05

@@ -5,13 +5,15 @@ in-process through :meth:`ServeDaemon.submit` and :meth:`ServeDaemon.drain`.
 """
 
 import os
+import pathlib
+import pickle
 
 import pytest
 
 from repro.errors import ServeError, SimDeadlockError
 from repro.eval.parallel import RunRequest, run_requests
 from repro.eval.runner import setting_by_name
-from repro.serve import JobState, ServeDaemon, metrics_bytes
+from repro.serve import JobState, ResultCache, ServeDaemon, metrics_bytes
 
 SCALE = 0.05
 SEED = 0xC0FFEE
@@ -146,3 +148,45 @@ def test_cache_dir_serves_a_fresh_daemon(tmp_path):
         repeat = second.submit(request)
         assert repeat.cache_hit
         assert metrics_bytes(repeat.metrics) == metrics_bytes(first.metrics)
+
+
+def test_writer_killed_mid_spill_never_serves_a_partial_entry(tmp_path):
+    """A process killed halfway through a spill write leaves only its tmp
+    file: the next process over the directory re-runs the cell, stores it,
+    and from then on serves the full entry."""
+    killed = 17
+    request = _request()
+    key = request.cache_key()
+    expected = metrics_bytes(run_requests([request])[0])
+
+    pid = os.fork()
+    if pid == 0:  # the writer: dies with half its payload on disk
+        try:
+            def half_write(path, data):
+                with open(path, "wb") as handle:
+                    handle.write(data[: len(data) // 2])
+                os._exit(killed)
+
+            pathlib.Path.write_bytes = half_write
+            ResultCache(tmp_path).put(key, pickle.loads(expected))
+        finally:
+            os._exit(1)
+    _, status = os.waitpid(pid, 0)
+    assert os.WEXITSTATUS(status) == killed  # died inside the spill write
+    # The partial bytes never appeared under the name a reader looks up.
+    assert [p.suffix for p in tmp_path.iterdir()] == [".tmp"]
+
+    with ServeDaemon(jobs=1, cache_dir=tmp_path) as daemon:
+        rerun = daemon.submit(request)
+        daemon.drain()
+        assert not rerun.cache_hit and rerun.state is JobState.DONE
+        stats = daemon.cache.stats()
+        assert (stats["hits"], stats["misses"], stats["stores"]) == (0, 1, 1)
+        assert len(daemon.cache) == 1  # the orphaned .tmp is not an entry
+    assert not list(tmp_path.glob("*.corrupt"))
+
+    with ServeDaemon(jobs=1, cache_dir=tmp_path) as second:
+        hit = second.submit(request)
+        assert hit.cache_hit
+        assert metrics_bytes(hit.metrics) == expected
+        assert len(second.cache) == 1

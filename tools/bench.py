@@ -1,148 +1,37 @@
 #!/usr/bin/env python
-"""Wall-clock benchmark: serial vs. parallel experiment execution.
+"""The observability overhead gate (docs/OBSERVABILITY.md).
 
-Runs a fixed workload × setting matrix (the Figure 8 grid by default) twice
-— once serially in-process, once fanned across worker processes via
-:mod:`repro.eval.parallel` — and records wall times, the speedup, and the
-kernel event-dispatch rate.  The two legs' metrics are asserted equal, so a
-recorded speedup can never come from computing something different.
-
-This seeds the repo's perf trajectory: the committed ``BENCH_parallel.json``
-is a *record*, not a threshold — CI re-measures and uploads its own copy as
-an artifact but only asserts the equality invariant, never a timing (see
-docs/PERFORMANCE.md for how to read the file).
+Times the quick matrix serially with observability off, with the disabled
+stubs attached and fully on, and fails if the disabled stubs cost more
+than 3% over the plain runs.  Simulator throughput is measured by
+``perfbench/run.py`` (see perfbench/README.md), not here.
 
 Usage::
 
-    python tools/bench.py                 # full Fig-8 matrix, scale 0.25
-    python tools/bench.py --quick         # small matrix for CI smoke runs
-    python tools/bench.py --jobs 8 --out BENCH_parallel.json
-    python tools/bench.py --load --out BENCH_load.json   # open-system sweep
+    python tools/bench.py --obs-gate 3    # best of 3 rounds per leg
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from repro.eval.parallel import (  # noqa: E402
-    RunRequest,
-    _check_picklable,
-    _mp_context,
-    execute_request,
-    resolve_jobs,
-    run_requests,
-)
 from repro.eval.runner import run_workload, setting_by_name  # noqa: E402
-from repro.workloads.registry import workload_names  # noqa: E402
 
-#: The four evaluated settings' short-names, Figure 8 order.
-FIG8_SETTINGS = ("vl", "0delay", "adapt", "tuned")
-
-#: --quick: a 2-workload × 2-setting corner of the matrix at a small scale,
-#: sized for a CI smoke job rather than a meaningful timing.
+#: A 2-workload × 2-setting corner of the Figure 8 grid at a small scale,
+#: sized for a CI smoke job.
 QUICK_WORKLOADS = ("ping-pong", "incast")
 QUICK_SETTINGS = ("vl", "tuned")
 QUICK_SCALE = 0.05
-
-
-def build_requests(
-    workloads: Sequence[str],
-    settings: Sequence[str],
-    scale: float,
-    seed: int,
-) -> List[RunRequest]:
-    """The fixed matrix, flattened in Figure-8 (workload-major) order."""
-    return [
-        RunRequest.from_setting(w, setting_by_name(s), scale=scale, seed=seed)
-        for w in workloads
-        for s in settings
-    ]
-
-
-def measure_serial(requests: Sequence[RunRequest], clock=time.perf_counter):
-    """Serial leg: metrics, wall seconds, and total kernel events dispatched.
-
-    Runs in-process with ``return_system=True`` so the kernel's
-    ``events_processed`` counter can be read per run — the events/sec
-    denominator.  Event counts are deterministic, so they also stand for
-    the parallel leg's work.
-    """
-    metrics, events = [], 0
-    start = clock()
-    for request in requests:
-        m, system = run_workload(
-            request.workload,
-            request.setting(),
-            scale=request.scale,
-            config=request.config,
-            seed=request.seed,
-            limit=request.limit,
-            return_system=True,
-        )
-        metrics.append(m)
-        events += system.env.events_processed
-    return metrics, clock() - start, events
-
-
-def _warm_worker(token: int) -> int:
-    """No-op task submitted once per worker to force its spawn."""
-    return token
-
-
-def measure_parallel(
-    requests: Sequence[RunRequest],
-    jobs: int,
-    clock=time.perf_counter,
-    pool_factory=None,
-):
-    """Parallel leg: metrics and wall seconds for the *simulation work only*.
-
-    The pool is created and warmed (one no-op task per worker, so every
-    worker process exists) before the clock starts: an events/sec figure
-    that includes fork/spawn overhead understates throughput and shrinks
-    as the matrix shrinks, which is exactly the distortion a CI smoke
-    matrix maximizes.  *clock* and *pool_factory* are injectable for the
-    fake-clock unit test (tests/test_bench_tool.py).
-    """
-    requests = list(requests)
-    workers = min(resolve_jobs(jobs), len(requests)) if requests else 1
-    if workers <= 1 and pool_factory is None:
-        start = clock()
-        metrics = run_requests(requests, jobs=1)
-        return metrics, clock() - start
-    if pool_factory is None:
-        from concurrent.futures import ProcessPoolExecutor
-
-        _check_picklable(requests)
-
-        def pool_factory():
-            return ProcessPoolExecutor(
-                max_workers=workers, mp_context=_mp_context()
-            )
-
-    with pool_factory() as pool:
-        # Warm-up outside the timed region: one submit per worker makes
-        # the executor spawn its full complement before the clock starts.
-        for future in [pool.submit(_warm_worker, i) for i in range(workers)]:
-            future.result()
-        start = clock()
-        futures = [pool.submit(execute_request, request) for request in requests]
-        metrics = [future.result() for future in futures]
-        wall = clock() - start
-    return metrics, wall
 
 
 def measure_obs_overhead(
@@ -152,13 +41,10 @@ def measure_obs_overhead(
     threshold_pct: float = 3.0,
     clock=time.perf_counter,
 ) -> Dict:
-    """The observability overhead gate (docs/OBSERVABILITY.md).
+    """Time the quick matrix under three legs, best-of-*repeats* each:
 
-    Three serial legs over the quick matrix, best-of-*repeats* each:
-
-    * ``off``  — plain runs, no registry, no subscribers (the perf-smoke
-      path; every instrumentation site is behind a ``wants()``/``None``
-      guard).
+    * ``off``  — plain runs, no registry, no subscribers (every
+      instrumentation site is behind a ``wants()``/``None`` guard).
     * ``null`` — a :class:`~repro.obs.metrics.NullMetricsRegistry`
       attached: the disabled-stub configuration.  Its overhead over
       ``off`` is what the <3% gate bounds — the price of *having* the
@@ -167,30 +53,15 @@ def measure_obs_overhead(
       for the docs, not gated: enabling observability may legitimately
       cost more).
 
-    Best-of-N damps OS scheduling noise; the legs alternate nothing (each leg
-    finishes its repeats before the next starts) so turbo/thermal drift
-    biases against no particular leg systematically.
+    Each round runs the three legs back to back (off, null, on), so host
+    drift over the measurement spreads across all legs instead of landing
+    on whichever leg runs last; best-of-N then damps scheduling noise.
     """
     from repro.obs.collector import MetricsCollector
     from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
-    requests = build_requests(QUICK_WORKLOADS, QUICK_SETTINGS, scale, seed)
-
-    def leg(on_system) -> float:
-        best = None
-        for _ in range(max(1, repeats)):
-            start = clock()
-            for request in requests:
-                run_workload(
-                    request.workload,
-                    request.setting(),
-                    scale=request.scale,
-                    seed=request.seed,
-                    on_system=on_system,
-                )
-            wall = clock() - start
-            best = wall if best is None else min(best, wall)
-        return best
+    cells = [(w, setting_by_name(s)) for w in QUICK_WORKLOADS
+             for s in QUICK_SETTINGS]
 
     def attach_null(system) -> None:
         system.metrics = NULL_METRICS
@@ -200,15 +71,25 @@ def measure_obs_overhead(
         system.metrics = registry
         MetricsCollector(system.hooks, registry)
 
+    def timed(on_system) -> float:
+        start = clock()
+        for workload, setting in cells:
+            run_workload(workload, setting, scale=scale, seed=seed,
+                         on_system=on_system)
+        return clock() - start
+
     # Untimed warmup pass: imports, registry resolution and allocator
     # warm-up otherwise land entirely on the first leg.
-    for request in requests:
-        run_workload(request.workload, request.setting(),
-                     scale=request.scale, seed=request.seed)
+    for workload, setting in cells:
+        run_workload(workload, setting, scale=scale, seed=seed)
 
-    off = leg(None)
-    null = leg(attach_null)
-    on = leg(attach_full)
+    legs = {"off": None, "null": attach_null, "on": attach_full}
+    best: Dict[str, float] = {}
+    for _ in range(max(1, repeats)):
+        for name, on_system in legs.items():
+            wall = timed(on_system)
+            best[name] = min(best.get(name, wall), wall)
+    off, null, on = best["off"], best["null"], best["on"]
     overhead_null_pct = 100.0 * (null - off) / off if off else 0.0
     overhead_on_pct = 100.0 * (on - off) / off if off else 0.0
     return {
@@ -230,693 +111,24 @@ def measure_obs_overhead(
     }
 
 
-#: The kernel-stress matrix: (name, steady pending entries, delta spread).
-#: Each cell holds the pending set at a fixed depth (every dispatched tick
-#: schedules one successor) with deterministic pseudo-random delays in
-#: ``[1, spread]``, so events-per-cycle ≈ pending/spread.  These are the
-#: deep-pending rows (a 256–1024-core system keeps hundreds-to-thousands
-#: of entries in flight); their aggregate events/sec is what the
-#: ``--baseline`` perf floor compares.
-KERNEL_MATRIX = (
-    ("dense-512", 512, 8),
-    ("mixed-1024", 1024, 32),
-    ("deep-4096", 4096, 64),
-)
-
-#: The shallow leg: a 16-core sim queue is about this deep.
-KERNEL_CONTEXT = (
-    ("shallow-16", 16, 64),
-)
-
-#: The sim leg: the Figure-8/9 workload set end to end at a small scale.
-#: Wall-clock differences here are diluted by device and workload code —
-#: which is exactly the point: this is the rate real experiments see.
-SIM_LEG_WORKLOADS = ("ping-pong", "incast", "pipeline", "firewall", "FIR")
-SIM_LEG_SETTINGS = ("vl", "tuned")
-
-
-def _kernel_stress(pending: int, spread: int, total_events: int,
-                   clock=time.perf_counter):
-    """One pure-kernel cell: self-rescheduling deferred calls, no Events.
-
-    Uses :meth:`Environment.call_later` so the measurement isolates queue
-    push/pop/dispatch — no Event or Process allocation dilutes it.
-    Returns ``(events, wall_s, checksum, now)``; the checksum folds every
-    ``(now, idx)`` dispatch into a rolling hash, so equality of the tuple
-    across repeats proves identical dispatch order, not just identical
-    totals.
-    """
-    from repro.sim.kernel import Environment
-
-    deltas = [1 + (i * 2654435761) % spread for i in range(1024)]
-    env = Environment()
-    state = [total_events - pending, 0]  # [remaining to spawn, checksum]
-
-    def tick(idx: int) -> None:
-        now = env.now
-        state[1] = (state[1] * 1000003 + (now ^ idx)) & 0xFFFFFFFFFFFF
-        if state[0] > 0:
-            state[0] -= 1
-            env.call_later(deltas[(now + idx) & 1023], tick, idx)
-
-    for i in range(pending):
-        env.call_later(deltas[i & 1023], tick, i)
-    start = clock()
-    env.run()
-    wall = clock() - start
-    return env.events_processed, wall, state[1], env.now
-
-
-def profile_kernel(top_n: int = 15) -> List[Dict]:
-    """cProfile the deep-pending stress cell; return the top-N rows.
-
-    Committed as part of the bench record (``--kernel --profile``) so the
-    hot-path shape is reviewable in the artifact: what should dominate is
-    the tick callback and ``call_later`` themselves, with the dispatch
-    loop the only kernel frame.
-    """
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    _kernel_stress(4096, 64, 200_000)
-    profiler.disable()
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative")
-    rows = []
-    for func, (cc, nc, tt, ct, _callers) in sorted(
-        stats.stats.items(), key=lambda kv: kv[1][3], reverse=True
-    )[:top_n]:
-        filename, line, name = func
-        rows.append({
-            "function": f"{Path(filename).name}:{line}:{name}",
-            "ncalls": nc,
-            "tottime_s": round(tt, 4),
-            "cumtime_s": round(ct, 4),
-        })
-    return rows
-
-
-def run_kernel_benchmark(
-    total_events: int = 300_000,
-    repeats: int = 3,
-    scale: float = QUICK_SCALE,
-    seed: int = 0xC0FFEE,
-    quick: bool = False,
-    profile: bool = False,
-    clock=time.perf_counter,
-) -> Dict:
-    """Kernel events/sec — the BENCH_kernel.json document.
-
-    Three legs, each run once untimed (bytecode/allocator warm-up) and
-    then *repeats* times, best wall time recorded; every repeat must
-    reproduce the first one exactly before anything is recorded:
-
-    * **kernel** — the deep-pending stress matrix; equal
-      ``(events, checksum, now)`` per cell.
-    * **kernel_context** — the shallow-16 cell, same protocol.
-    * **sim** — the Figure-8/9 workload set end to end
-      (:data:`SIM_LEG_WORKLOADS`); equal metrics dataclasses.
-
-    Timings are records, not thresholds, like every BENCH_*.json; only
-    ``--baseline`` turns the deep aggregate into a floor.
-    """
-    if quick:
-        total_events = min(total_events, 120_000)
-        repeats = min(repeats, 2)
-    repeats = max(1, repeats)
-    warmup = 1
-
-    aggregate = [0, 0.0]  # deep-matrix events, wall
-
-    def stress_rows(matrix, gated: bool) -> Dict[str, Dict]:
-        rows: Dict[str, Dict] = {}
-        for workload, pending, spread in matrix:
-            for _ in range(warmup):
-                _kernel_stress(pending, spread, total_events, clock=clock)
-            best = None
-            for _ in range(repeats):
-                events, wall, checksum, now = _kernel_stress(
-                    pending, spread, total_events, clock=clock
-                )
-                if best is None:
-                    best = [events, wall, checksum, now]
-                assert (events, checksum, now) == (best[0], best[2], best[3]), (
-                    f"{workload}: dispatch diverged between repeats"
-                )
-                best[1] = min(best[1], wall)
-            events, wall = best[0], best[1]
-            rows[workload] = {
-                "events": events,
-                "wall_s": round(wall, 4),
-                "events_per_s": round(events / wall) if wall else None,
-            }
-            if gated:
-                aggregate[0] += events
-                aggregate[1] += wall
-        return rows
-
-    kernel = stress_rows(KERNEL_MATRIX, gated=True)
-    kernel_context = stress_rows(KERNEL_CONTEXT, gated=False)
-
-    # End-to-end sim leg: wall-clock here is diluted by device and
-    # workload code, which is exactly why it is recorded next to the
-    # synthetic legs.
-    sim_workloads = QUICK_WORKLOADS if quick else SIM_LEG_WORKLOADS
-    sim_settings = QUICK_SETTINGS if quick else SIM_LEG_SETTINGS
-    requests = [
-        RunRequest.from_setting(w, setting_by_name(s), scale=scale, seed=seed)
-        for w in sim_workloads
-        for s in sim_settings
-    ]
-    measure_serial(requests, clock=clock)  # untimed warm-up
-    reference = None
-    sim_wall = None
-    for _ in range(repeats):
-        metrics, wall, sim_events = measure_serial(requests, clock=clock)
-        snapshot = [dataclasses.asdict(m) for m in metrics]
-        if reference is None:
-            reference = snapshot
-        assert snapshot == reference, "sim metrics diverged between repeats"
-        sim_wall = wall if sim_wall is None else min(sim_wall, wall)
-
-    events, wall = aggregate
-    result = {
-        "name": "kernel-wallclock",
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "nproc": len(os.sched_getaffinity(0)),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "matrix": {
-            "kernel": [
-                {"workload": w, "pending": p, "delta_spread": d,
-                 "total_events": total_events}
-                for w, p, d in KERNEL_MATRIX
-            ],
-            "kernel_context": [
-                {"workload": w, "pending": p, "delta_spread": d,
-                 "total_events": total_events}
-                for w, p, d in KERNEL_CONTEXT
-            ],
-            "sim": {
-                "workloads": list(sim_workloads),
-                "settings": list(sim_settings),
-                "scale": scale,
-                "seed": seed,
-            },
-            "repeats": repeats,
-            "warmup": warmup,
-        },
-        "kernel": kernel,
-        "kernel_context": kernel_context,
-        "sim": {
-            "events": sim_events,
-            "wall_s": round(sim_wall, 4),
-            "events_per_s": round(sim_events / sim_wall) if sim_wall else None,
-        },
-        "aggregate_events_per_s": round(events / wall) if wall else None,
-    }
-    if profile:
-        result["profile"] = {
-            "cell": {"pending": 4096, "delta_spread": 64,
-                     "total_events": 200_000},
-            "sort": "cumulative",
-            "top": profile_kernel(),
-        }
-    return result
-
-
-def check_perf_floor(result: Dict, baseline_path: Path,
-                     tolerance_pct: float = 15.0) -> Optional[str]:
-    """Record-and-tolerate perf floor against a committed BENCH_kernel.json.
-
-    Returns an error string when the deep-matrix aggregate events/sec fell
-    more than *tolerance_pct* below the committed record, None otherwise
-    (including when the baseline is unreadable — a missing or
-    foreign-format baseline must not fail CI).
-    """
-    try:
-        baseline = json.loads(Path(baseline_path).read_text())
-    except (OSError, ValueError):
-        return None
-    committed = baseline.get("aggregate_events_per_s")
-    measured = result.get("aggregate_events_per_s")
-    if not isinstance(committed, (int, float)) or not committed or not measured:
-        return None
-    floor = committed * (1.0 - tolerance_pct / 100.0)
-    if measured < floor:
-        return (
-            f"aggregate events/sec {measured} fell more than "
-            f"{tolerance_pct}% below the committed record {committed} "
-            f"(floor {round(floor)})"
-        )
-    return None
-
-
-def run_load_benchmark(
-    workload: str = "incast",
-    arrival: str = "poisson",
-    scale: float = 0.25,
-    seed: int = 0xC0FFEE,
-    jobs: int = 0,
-    quick: bool = False,
-    clock=time.perf_counter,
-) -> Dict:
-    """Wall-clock the open-system load sweep (BENCH_load.json).
-
-    Runs :func:`repro.eval.load.load_experiment` twice — ``jobs=1`` and
-    ``jobs=N`` — and asserts the two reports are byte-identical before
-    recording anything: the load sweep carries the same deterministic-
-    across-``--jobs`` contract as the Figure-8 matrix.  The recorded rate
-    is *simulated requests completed per wall second*, summed over the
-    calibration and sweep phases.  Unlike :func:`measure_parallel` the
-    parallel leg here includes pool spawn (the sweep spawns its own
-    executors internally), so quick-matrix rates understate steady-state
-    throughput — they are trend lines, not absolutes.
-    """
-    from repro.eval.load import (
-        DEFAULT_RHOS,
-        DEFAULT_SETTINGS,
-        DEFAULT_TOPOLOGIES,
-        load_experiment,
-    )
-
-    topologies = ("single-bus", "mesh") if quick else DEFAULT_TOPOLOGIES
-    rhos = (0.5, 1.1) if quick else DEFAULT_RHOS
-    settings = DEFAULT_SETTINGS
-    effective_jobs = resolve_jobs(jobs)
-
-    def leg(n_jobs: int):
-        start = clock()
-        result = load_experiment(
-            workload=workload,
-            arrival=arrival,
-            settings=settings,
-            topologies=topologies,
-            rhos=rhos,
-            scale=scale,
-            seed=seed,
-            jobs=n_jobs,
-        )
-        return result, clock() - start
-
-    serial, serial_wall = leg(1)
-    parallel, parallel_wall = leg(effective_jobs)
-    identical = serial.to_json() == parallel.to_json()
-
-    completed = sum(row["requests"] for row in serial.rows) + sum(
-        cell["requests"] for cell in serial.calibration
-    )
-    return {
-        "name": "load-sweep-wallclock",
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "matrix": {
-            "workload": workload,
-            "arrival": arrival,
-            "settings": list(settings),
-            "topologies": list(topologies),
-            "rhos": list(rhos),
-            "scale": scale,
-            "seed": seed,
-            "runs": len(serial.calibration) + len(serial.rows),
-        },
-        "requests_completed": completed,
-        "serial": {
-            "wall_s": round(serial_wall, 4),
-            "requests_per_s": (
-                round(completed / serial_wall) if serial_wall else None
-            ),
-        },
-        "parallel": {
-            "jobs": effective_jobs,
-            "wall_s": round(parallel_wall, 4),
-            "requests_per_s": (
-                round(completed / parallel_wall) if parallel_wall else None
-            ),
-        },
-        "speedup": (
-            round(serial_wall / parallel_wall, 3) if parallel_wall else None
-        ),
-        "identical": identical,
-    }
-
-
-def run_serve_benchmark(
-    workloads: Optional[Sequence[str]] = None,
-    settings: Optional[Sequence[str]] = None,
-    scale: float = QUICK_SCALE,
-    seed: int = 0xC0FFEE,
-    jobs: int = 0,
-    quick: bool = False,
-    clock=time.perf_counter,
-) -> Dict:
-    """Wall-clock the serve layer against cold ``run_requests`` — the
-    BENCH_serve.json document.
-
-    Four passes over the same matrix, equality-asserted byte-wise (the
-    pickled-metrics bytes the result cache stores) before anything is
-    recorded:
-
-    * **cold ×2** — ``run_requests(requests, jobs=N)`` twice, each call
-      spawning and tearing down its own process pool.  This is what
-      back-to-back sweeps pay without the serve layer: the worker spawn
-      cost lands on every call.
-    * **warm** — the same requests through
-      :class:`~repro.serve.ServeExecutor` on an embedded daemon whose
-      pool was started (and warmed) before the clock: the steady-state
-      submit-to-result latency a resident daemon gives every sweep after
-      the first.
-    * **cached** — the same requests again on the same daemon: every
-      cell is a content-addressed cache hit, asserted 100%, and the
-      bytes returned are the exact bytes the warm pass stored.
-
-    Timings are records, not thresholds, like every BENCH_*.json; the
-    document calls out ``speedup_warm_vs_cold`` and the cached margin.
-    """
-    import pickle
-
-    from repro.serve import ServeExecutor
-
-    workloads = list(workloads or (QUICK_WORKLOADS if quick else workload_names()))
-    settings = list(settings or (QUICK_SETTINGS if quick else FIG8_SETTINGS))
-    effective_jobs = resolve_jobs(jobs)
-    requests = build_requests(workloads, settings, scale, seed)
-
-    def snapshot(metrics_list):
-        from repro.eval.parallel import CACHE_PICKLE_PROTOCOL
-
-        return [
-            pickle.dumps(m, protocol=CACHE_PICKLE_PROTOCOL)
-            for m in metrics_list
-        ]
-
-    # Untimed warm-up: imports, registries, bytecode specialization land
-    # here rather than on the first timed pass.
-    run_requests(requests[:1], jobs=1)
-
-    cold_walls = []
-    cold_snapshot = None
-    for _ in range(2):
-        start = clock()
-        metrics = run_requests(requests, jobs=jobs)
-        cold_walls.append(clock() - start)
-        blobs = snapshot(metrics)
-        assert cold_snapshot is None or blobs == cold_snapshot, (
-            "cold passes diverged byte-wise"
-        )
-        cold_snapshot = blobs
-
-    with ServeExecutor.local(jobs=jobs) as executor:
-        start = clock()
-        warm_metrics = executor(requests)
-        warm_wall = clock() - start
-        assert snapshot(warm_metrics) == cold_snapshot, (
-            "warm-pool metrics diverged byte-wise from cold run_requests"
-        )
-
-        start = clock()
-        cached_metrics = executor(requests)
-        cached_wall = clock() - start
-        assert snapshot(cached_metrics) == cold_snapshot, (
-            "cached metrics diverged byte-wise from cold run_requests"
-        )
-        cache_stats = executor.daemon.cache.stats()
-
-    hits = cache_stats["hits"]
-    assert hits >= len(requests), (
-        f"second serve pass was not fully cached: {hits} hits for "
-        f"{len(requests)} requests"
-    )
-
-    cold_wall = min(cold_walls)
-    n = len(requests)
-    return {
-        "name": "serve-wallclock",
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "matrix": {
-            "workloads": workloads,
-            "settings": settings,
-            "scale": scale,
-            "seed": seed,
-            "runs": n,
-        },
-        "jobs": effective_jobs,
-        "cold": {
-            "wall_s": [round(w, 4) for w in cold_walls],
-            "best_wall_s": round(cold_wall, 4),
-            "latency_ms_per_run": (
-                round(1000.0 * cold_wall / n, 2) if n else None
-            ),
-        },
-        "warm": {
-            "wall_s": round(warm_wall, 4),
-            "latency_ms_per_run": (
-                round(1000.0 * warm_wall / n, 2) if n else None
-            ),
-        },
-        "cached": {
-            "wall_s": round(cached_wall, 4),
-            "latency_ms_per_run": (
-                round(1000.0 * cached_wall / n, 2) if n else None
-            ),
-            "hit_rate": cache_stats["hit_rate"],
-        },
-        "cache": cache_stats,
-        "speedup_warm_vs_cold": (
-            round(cold_wall / warm_wall, 3) if warm_wall else None
-        ),
-        "speedup_cached_vs_cold": (
-            round(cold_wall / cached_wall, 3) if cached_wall else None
-        ),
-        "identical": True,
-    }
-
-
-def run_benchmark(
-    workloads: Optional[Sequence[str]] = None,
-    settings: Optional[Sequence[str]] = None,
-    scale: float = 0.25,
-    seed: int = 0xC0FFEE,
-    jobs: int = 0,
-    requests: Optional[List[RunRequest]] = None,
-    name: str = "parallel-executor-wallclock",
-    matrix_extra: Optional[Dict] = None,
-) -> Dict:
-    """Measure both legs and return the BENCH_parallel.json document.
-
-    *requests* overrides the workload × setting matrix with a prebuilt
-    request list (the ``--net`` scaling matrix); *matrix_extra* merges
-    extra keys into the recorded matrix description.
-    """
-    workloads = list(workloads or workload_names())
-    settings = list(settings or FIG8_SETTINGS)
-    effective_jobs = resolve_jobs(jobs)
-    if requests is None:
-        requests = build_requests(workloads, settings, scale, seed)
-
-    serial_metrics, serial_wall, events = measure_serial(requests)
-    parallel_metrics, parallel_wall = measure_parallel(requests, jobs=jobs)
-
-    identical = [dataclasses.asdict(m) for m in serial_metrics] == [
-        dataclasses.asdict(m) for m in parallel_metrics
-    ]
-    matrix = {
-        "workloads": workloads,
-        "settings": settings,
-        "scale": scale,
-        "seed": seed,
-        "runs": len(requests),
-    }
-    if matrix_extra:
-        matrix.update(matrix_extra)
-    return {
-        "name": name,
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "matrix": matrix,
-        "serial": {
-            "wall_s": round(serial_wall, 4),
-            "kernel_events": events,
-            "events_per_s": round(events / serial_wall) if serial_wall else None,
-        },
-        "parallel": {
-            "jobs": effective_jobs,
-            "wall_s": round(parallel_wall, 4),
-            "events_per_s": (
-                round(events / parallel_wall) if parallel_wall else None
-            ),
-        },
-        "speedup": round(serial_wall / parallel_wall, 3) if parallel_wall else None,
-        "identical": identical,
-    }
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="serial vs parallel wall-clock benchmark "
-                    "(record-only timings + equality check)"
+        description="observability overhead gate: fails if the disabled "
+                    "instrumentation stubs cost more than 3%"
     )
-    parser.add_argument("--quick", action="store_true",
-                        help="small matrix for CI smoke runs")
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="parallel-leg worker count (0 = all cores)")
-    parser.add_argument("--scale", type=float, default=None,
-                        help="message-count scale (default 0.25, quick 0.05)")
-    parser.add_argument("--seed", type=lambda v: int(v, 0), default=0xC0FFEE)
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="write the JSON document here "
-                             "(e.g. BENCH_parallel.json)")
-    parser.add_argument("--net", action="store_true",
-                        help="bench the interconnect scaling matrix "
-                             "(repro scale: cores x topology x device) "
-                             "instead of the Fig-8 grid")
-    parser.add_argument("--load", action="store_true",
-                        help="bench the open-system load sweep "
-                             "(repro load: tail latency vs offered load) "
-                             "instead of the Fig-8 grid")
-    parser.add_argument("--serve", action="store_true",
-                        help="bench the serve layer: cold run_requests vs "
-                             "warm-pool daemon vs 100%%-cached second pass, "
-                             "byte-identity asserted across all legs "
-                             "(writes BENCH_serve.json with --out)")
-    parser.add_argument("--kernel", action="store_true",
-                        help="bench kernel events/sec (pure-kernel "
-                             "stress matrix + Fig-8/9 sim leg, "
-                             "repeat-equality asserted; writes "
-                             "BENCH_kernel.json with --out)")
-    parser.add_argument("--profile", action="store_true",
-                        help="with --kernel: cProfile the deep stress "
-                             "cell and embed the top-N cumulative rows "
-                             "in the record")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="with --kernel: fail if the deep-matrix "
-                             "aggregate events/sec regresses >15%% below "
-                             "this committed BENCH_kernel.json "
-                             "(record-and-tolerate perf floor)")
-    parser.add_argument("--obs-gate", type=int, default=0, metavar="N",
-                        help="run the observability overhead gate instead "
-                             "(best-of-N legs; fails if the disabled-"
-                             "instrumentation overhead exceeds 3%%)")
+    parser.add_argument("--obs-gate", type=int, required=True, metavar="N",
+                        help="best-of-N rounds per leg")
     args = parser.parse_args(argv)
 
-    if args.obs_gate:
-        result = measure_obs_overhead(
-            repeats=args.obs_gate,
-            scale=args.scale if args.scale is not None else QUICK_SCALE,
-            seed=args.seed,
+    result = measure_obs_overhead(repeats=args.obs_gate)
+    print(json.dumps(result, indent=2, sort_keys=True))
+    if not result["pass"]:
+        print(
+            f"FAIL: disabled-observability overhead "
+            f"{result['overhead_disabled_pct']}% exceeds "
+            f"{result['threshold_pct']}%",
+            file=sys.stderr,
         )
-        document = json.dumps(result, indent=2, sort_keys=True)
-        print(document)
-        if args.out:
-            Path(args.out).write_text(document + "\n")
-            print(f"wrote {args.out}", file=sys.stderr)
-        if not result["pass"]:
-            print(
-                f"FAIL: disabled-observability overhead "
-                f"{result['overhead_disabled_pct']}% exceeds "
-                f"{result['threshold_pct']}%",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
-    if args.kernel:
-        result = run_kernel_benchmark(
-            scale=args.scale if args.scale is not None else QUICK_SCALE,
-            seed=args.seed,
-            quick=args.quick,
-            profile=args.profile,
-        )
-        document = json.dumps(result, indent=2, sort_keys=True)
-        print(document)
-        if args.out:
-            Path(args.out).write_text(document + "\n")
-            print(f"wrote {args.out}", file=sys.stderr)
-        if args.baseline:
-            error = check_perf_floor(result, Path(args.baseline))
-            if error:
-                print(f"FAIL: perf floor: {error}", file=sys.stderr)
-                return 1
-        return 0
-
-    if args.serve:
-        result = run_serve_benchmark(
-            scale=args.scale if args.scale is not None else QUICK_SCALE,
-            seed=args.seed,
-            jobs=args.jobs,
-            quick=args.quick,
-        )
-    elif args.load:
-        result = run_load_benchmark(
-            scale=args.scale if args.scale is not None else (
-                QUICK_SCALE if args.quick else 0.25
-            ),
-            seed=args.seed,
-            jobs=args.jobs,
-            quick=args.quick,
-        )
-    elif args.net:
-        from repro.eval.scaling import (  # noqa: E402
-            DEFAULT_CORES,
-            DEFAULT_SCALE,
-            DEFAULT_SETTINGS,
-            DEFAULT_TOPOLOGIES,
-            scaling_requests,
-        )
-
-        cores = (8, 16) if args.quick else DEFAULT_CORES
-        scale = args.scale if args.scale is not None else DEFAULT_SCALE
-        result = run_benchmark(
-            scale=scale,
-            seed=args.seed,
-            jobs=args.jobs,
-            requests=scaling_requests(cores=cores, scale=scale,
-                                      seed=args.seed),
-            name="net-scaling-wallclock",
-            matrix_extra={
-                "workloads": ["scaling-halo"],
-                "settings": list(DEFAULT_SETTINGS),
-                "cores": list(cores),
-                "topologies": list(DEFAULT_TOPOLOGIES),
-            },
-        )
-    else:
-        result = run_benchmark(
-            workloads=QUICK_WORKLOADS if args.quick else None,
-            settings=QUICK_SETTINGS if args.quick else None,
-            scale=args.scale if args.scale is not None else (
-                QUICK_SCALE if args.quick else 0.25
-            ),
-            seed=args.seed,
-            jobs=args.jobs,
-        )
-
-    document = json.dumps(result, indent=2, sort_keys=True)
-    print(document)
-    if args.out:
-        Path(args.out).write_text(document + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    if not result["identical"]:
-        print("FAIL: parallel metrics differ from serial metrics",
-              file=sys.stderr)
         return 1
     return 0
 
