@@ -200,6 +200,9 @@ def finalize_system(system: "System", registry: MetricsRegistry) -> None:
     registry.gauge_set(
         "library.messages_delivered", float(system.messages_delivered())
     )
+    registry.gauge_set(
+        "vlink.polls", float(sum(ep.polls for ep in system.library.consumers))
+    )
     for key, value in sorted(system.aggregate_device_stats().as_dict().items()):
         registry.gauge_set(f"device.{key}", float(value))
 

@@ -81,6 +81,8 @@ class ConsumerEndpoint:
         ]
         self._rr_index = 0
         self.pops = 0
+        #: Slow-path line checks: one per poll quantum a pop spent parked.
+        self.polls = 0
 
     # -- round-robin consumption -------------------------------------------------
     @property

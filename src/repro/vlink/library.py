@@ -29,6 +29,7 @@ from typing import Any, Generator, Optional, TYPE_CHECKING
 from repro.errors import RegistrationError, WorkloadError
 from repro.mem.bus import PacketKind
 from repro.mem.cacheline import LineState
+from repro.sim.event import Event, PROCESSED
 from repro.sim.hooks import DeliveryHook, PushHook, TraceHook, TransactionHook
 from repro.sim.trace import EventKind
 from repro.sim.transaction import TransactionRecord, TxnState
@@ -237,41 +238,12 @@ class QueueLibrary:
         if not line.poppable:
             # ---- slow path: poll the line until the stash lands (a VALID
             # line whose burst fill is still unconfirmed is not poppable —
-            # delivering it would jump the predicted order).
-            stall_start = self.env.now
-            since_fetch = 0
-            refetch_after = cfg.refetch_interval
-            while not consumer.current_line.poppable:
-                if (
-                    cfg.spin_then_yield
-                    and self.env.now - stall_start >= cfg.spin_threshold
-                ):
-                    # Optional spin-then-yield discipline (ablation knob):
-                    # deschedule after the spin window; the wake quantum
-                    # coarsens delivery detection.
-                    quantum = cfg.yield_penalty
-                else:
-                    quantum = cfg.poll_interval
-                yield self.env.timeout(quantum)
-                if stop_check is not None and stop_check():
-                    return None
-                since_fetch += quantum
-                if not consumer.spec_enabled and since_fetch >= refetch_after:
-                    # Re-issue the fetch.  The first re-issue races the
-                    # expected stash (refetch_interval ≈ the load-to-use
-                    # round trip) — the "prerequest" of Section 4.2; the
-                    # interval then backs off exponentially so long waits
-                    # (wavefront stalls) do not spam the network, and a
-                    # request NACKed by a full consBuf is still recovered.
-                    self._send_request(consumer, prerequest=True)
-                    since_fetch = 0
-                    refetch_after = min(refetch_after * 2, 1 << 16)
-                if self.env.now - stall_start >= cfg.stale_scan_threshold:
-                    recovered = consumer.oldest_valid_line()
-                    if recovered is not None:
-                        consumer.retarget(recovered)
-                        break
-                    stall_start = self.env.now
+            # delivering it would jump the predicted order).  The spin
+            # runs as kernel callbacks (_ConsumerPoller); the process
+            # sleeps on one wake event until a poll sees the line.
+            stopped = yield _ConsumerPoller(self, consumer, stop_check).wake
+            if stopped:
+                return None
             # Spin-loop exit: branch recovery / pipeline refill.
             yield self.env.timeout(cfg.slow_path_penalty)
             line = consumer.current_line
@@ -325,3 +297,106 @@ class QueueLibrary:
             src=network.core_node(consumer.core_id),
             dst=network.srd_node(device.srd_index),
         ).subscribe(lambda _ev, r=request, d=device: d.accept_request(r))
+
+
+class _ConsumerPoller:
+    """The pop slow path's spin loop, one kernel callback per poll quantum.
+
+    A parked pop yields :attr:`wake` (a plain :class:`Event` that is never
+    queued) and this poller re-checks the line every quantum via
+    ``env.call_later``.  Each :meth:`poll` runs the body of the literal
+    ``while not poppable: yield timeout(quantum)`` spin in the same order
+    and re-arms where that loop created its next timeout, so every queue
+    entry, and its ``(time, priority, seq)`` key, matches the literal loop
+    one for one and simulated results are unchanged.  Only the host cost
+    per poll falls: no ``Timeout``, no generator resume.  When a poll sees
+    the line (or *stop_check* fires) the process resumes synchronously
+    inside that same dispatch, as the literal loop's resume did;
+    ``wake.succeed()`` would add a queue entry at a later seq instead.
+    ``tests/test_consumer_poll_equivalence.py`` keeps the literal loop as
+    the reference.
+
+    A poll fires exactly one quantum after it was armed, so the cycles
+    since the stall (re)started are the sum of the quanta since then:
+    ``stalled`` tracks ``now - stall_start`` without reading the clock.
+    """
+
+    __slots__ = (
+        "env",
+        "config",
+        "library",
+        "consumer",
+        "stop_check",
+        "wake",
+        "stalled",
+        "since_fetch",
+        "refetch_after",
+        "quantum",
+    )
+
+    def __init__(
+        self, library: QueueLibrary, consumer: ConsumerEndpoint, stop_check
+    ) -> None:
+        self.env = library.env
+        self.config = library.config
+        self.library = library
+        self.consumer = consumer
+        self.stop_check = stop_check
+        self.wake = Event(library.env)
+        self.stalled = 0
+        self.since_fetch = 0
+        self.refetch_after = library.config.refetch_interval
+        self._arm()
+
+    def _arm(self) -> None:
+        cfg = self.config
+        if cfg.spin_then_yield and self.stalled >= cfg.spin_threshold:
+            # Optional spin-then-yield discipline (ablation knob):
+            # deschedule after the spin window; the wake quantum
+            # coarsens delivery detection.
+            self.quantum = cfg.yield_penalty
+        else:
+            self.quantum = cfg.poll_interval
+        self.env.call_later(self.quantum, self.poll)
+
+    def poll(self, _arg: Any) -> None:
+        """One quantum elapsed: re-check the line, then resume or re-arm."""
+        consumer = self.consumer
+        consumer.polls += 1
+        if self.stop_check is not None and self.stop_check():
+            self._resume(True)
+            return
+        quantum = self.quantum
+        self.stalled += quantum
+        self.since_fetch += quantum
+        if not consumer.spec_enabled and self.since_fetch >= self.refetch_after:
+            # Re-issue the fetch.  The first re-issue races the expected
+            # stash (refetch_interval ≈ the load-to-use round trip) — the
+            # "prerequest" of Section 4.2; the interval then backs off
+            # exponentially so long waits (wavefront stalls) do not spam
+            # the network, and a request NACKed by a full consBuf is still
+            # recovered.  Sent before the re-arm, so its entries keep
+            # their seq order ahead of the next poll.
+            self.library._send_request(consumer, prerequest=True)
+            self.since_fetch = 0
+            self.refetch_after = min(self.refetch_after * 2, 1 << 16)
+        if self.stalled >= self.config.stale_scan_threshold:
+            recovered = consumer.oldest_valid_line()
+            if recovered is not None:
+                consumer.retarget(recovered)
+                self._resume(False)
+                return
+            self.stalled = 0
+        if consumer.current_line.poppable:
+            self._resume(False)
+        else:
+            self._arm()
+
+    def _resume(self, stopped: bool) -> None:
+        """Deliver *stopped* to the parked process inside this dispatch:
+        what the kernel does for a dispatched event, minus the queue."""
+        wake = self.wake
+        resume = wake.callbacks
+        wake._value = stopped
+        wake.callbacks = PROCESSED
+        resume(wake)

@@ -5,7 +5,8 @@ The allocation-free dispatch work (PERFORMANCE.md §5) rests on three
 properties that nothing else in the suite pins directly:
 
 * every per-event / per-component class in ``sim/`` carries ``__slots__``
-  (an instance ``__dict__`` would be the kernel's largest allocation);
+  (an instance ``__dict__`` would be the kernel's largest allocation), as
+  does the consumer poller allocated per parked pop;
 * the ``Event.callbacks`` slot is polymorphic (None | callable | list |
   PROCESSED) and all four states behave identically to the old
   always-a-list protocol;
@@ -31,6 +32,7 @@ import repro.sim.transaction
 from repro.errors import SchedulingError
 from repro.sim.event import Event, PROCESSED
 from repro.sim.kernel import Environment, NORMAL, URGENT
+from repro.vlink.library import _ConsumerPoller
 
 
 # ------------------------------------------------------------ __slots__ audit
@@ -73,6 +75,12 @@ def test_sim_classes_define_slots(cls):
             f"{klass.__qualname__} (in {cls.__qualname__}'s MRO) lacks "
             f"__slots__ — instances of {cls.__qualname__} would carry a dict"
         )
+
+
+def test_consumer_poller_defines_slots():
+    """The pop slow path's poller is allocated per parked pop.  Its module
+    cannot join the audit above: ``QueueLibrary`` there is unslotted."""
+    assert not hasattr(_ConsumerPoller.__new__(_ConsumerPoller), "__dict__")
 
 
 # --------------------------------------------------- polymorphic callbacks slot
