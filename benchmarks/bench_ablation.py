@@ -6,7 +6,7 @@
 * **interconnect latency** — the substitution's main free parameter: the
   speculation win should grow with the request-leg latency it hides.
 * **fixed-delay control** — a naive constant delay bridges 0-delay and the
-  learned algorithms.
+  adaptive algorithms.
 """
 
 import pytest

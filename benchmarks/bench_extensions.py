@@ -1,49 +1,13 @@
-"""Extensions beyond the paper: learned delay algorithms, multi-router
-scaling, and the per-benchmark parameter search (the paper's future work).
+"""Extensions beyond the paper: multi-router scaling and the
+per-benchmark parameter search (the paper's future work).
 """
 
 from _shared import BENCH_SCALE, BENCH_SEED
 
 from repro.config import SystemConfig
-from repro.eval import Setting, run_workload, standard_settings
+from repro.eval import run_workload, standard_settings
 from repro.eval.autotune import autotune
 from repro.eval.report import format_speedup, format_table
-from repro.spamer.learned import HistoryDelay, PerceptronDelay
-
-
-def test_learned_algorithms(benchmark):
-    """History-based and perceptron-style predictors (Section 3.5's design
-    space beyond the three evaluated points)."""
-
-    def sweep():
-        out = {}
-        vl = standard_settings()[0]
-        for name in ("incast", "FIR", "firewall"):
-            base = run_workload(name, vl, scale=BENCH_SCALE, seed=BENCH_SEED)
-            row = {}
-            for label, factory in (
-                ("history", HistoryDelay),
-                ("perceptron", PerceptronDelay),
-            ):
-                setting = Setting(f"SPAMeR({label})", "spamer", factory)
-                m = run_workload(name, setting, scale=BENCH_SCALE, seed=BENCH_SEED)
-                row[label] = (m.speedup_over(base), m.failure_rate)
-            out[name] = row
-        return out
-
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = []
-    for name, per_algo in result.items():
-        for label, (speedup, fail) in per_algo.items():
-            rows.append([name, label, format_speedup(speedup), f"{fail:.1%}"])
-    print("\n" + format_table(["benchmark", "algorithm", "speedup", "failures"],
-                              rows, title="Extension: learned delay algorithms"))
-    # Perceptron competes with the evaluated algorithms on every benchmark;
-    # the EWMA history predictor smears FIR's bimodal intervals and loses
-    # there — the "learns the slow period" failure mode made concrete.
-    assert result["incast"]["perceptron"][0] > 1.15
-    assert result["FIR"]["perceptron"][0] > 1.5
-    assert result["FIR"]["history"][0] < result["FIR"]["perceptron"][0]
 
 
 def test_multirouter_scaling(benchmark):

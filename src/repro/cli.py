@@ -136,22 +136,10 @@ def cmd_fig11(args) -> None:
 
 
 def cmd_run(args) -> None:
-    hist = None
     verify = getattr(args, "verify", False)
     jobs = getattr(args, "jobs", None)
-    captured = {}
-
-    def on_system(system) -> None:
-        captured["system"] = system
-        if hist is not None:
-            hist.attach(system.hooks)
-
-    if getattr(args, "hook_stats", False):
-        from repro.eval.metrics import StageLatencyHistogram
-
-        hist = StageLatencyHistogram()
-
-    if jobs not in (None, 1) and hist is None:
+    system = None
+    if jobs not in (None, 1):
         # Route the run through the multiprocess executor — same metrics,
         # exercised worker path (handy as a parallel-executor smoke test).
         from repro.eval.parallel import RunRequest, run_requests
@@ -162,9 +150,11 @@ def cmd_run(args) -> None:
         )
         m = run_requests([request], jobs=jobs)[0]
     else:
-        m = run_workload(args.workload, _setting(args.setting), scale=args.scale,
-                         seed=args.seed, config=_config(args),
-                         on_system=on_system, verify=verify)
+        m, system = run_workload(
+            args.workload, _setting(args.setting), scale=args.scale,
+            seed=args.seed, config=_config(args), verify=verify,
+            return_system=True,
+        )
     rows = [
         ["execution", f"{m.exec_cycles} cycles ({m.exec_ms:.3f} ms)"],
         ["messages", m.messages_delivered],
@@ -179,8 +169,8 @@ def cmd_run(args) -> None:
     ]
     print(format_table(["metric", "value"], rows,
                        title=f"{args.workload} under {_setting(args.setting).label}"))
-    if verify and captured.get("system") is not None:
-        verifier = captured["system"].verifier
+    if verify and system is not None:
+        verifier = system.verifier
         if verifier is not None:
             # quiesce() in the runner already raised on any violation, so
             # reaching here means a clean bill of health.
@@ -191,10 +181,6 @@ def cmd_run(args) -> None:
         # before the metrics crossed the process boundary.
         print()
         print("verification: PASS (checked in worker process)")
-    if hist is not None:
-        print()
-        print("per-stage transaction latency histograms (cycles)")
-        print(hist.render())
 
 
 def cmd_obs(args) -> None:
@@ -497,9 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = burst(jobs(common(
         sub.add_parser("run", help="run one workload under one setting"),
         workload=True, setting=True)))
-    p.add_argument("--hook-stats", action="store_true",
-                   help="dump per-stage transaction latency histograms "
-                        "collected over the instrumentation hook bus")
     p.add_argument("--verify", action="store_true",
                    help="attach the live invariant checker (FIFO order, "
                         "message conservation, cacheline/transaction "

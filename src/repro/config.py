@@ -20,8 +20,8 @@ document them here so that sensitivity to the substitution can be explored
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict
 
 from repro.errors import ConfigError
 from repro.units import CACHELINE_BYTES, DEFAULT_CLOCK_HZ, GiB, KiB, MiB
@@ -86,9 +86,6 @@ class SystemConfig:
     #: Cycles a packet occupies the shared network (serialization of a
     #: 64-byte line onto a wide on-chip interconnect).
     bus_occupancy: int = 3
-    #: Parallel network channels: 1 = shared bus (the evaluated model);
-    #: more approximate a crossbar/NoC with independent links.
-    bus_channels: int = 1
 
     # ------------------------------------------------------------- interconnect
     #: Interconnect fabric (any name in :func:`repro.net.topology_names`).
@@ -96,12 +93,9 @@ class SystemConfig:
     #: evaluation implies and keeps all golden figures bit-identical;
     #: ``mesh``/``ring``/``crossbar`` route hop-by-hop through per-link
     #: servers, so placement and distance become visible (docs/MODEL.md,
-    #: "Network model").
+    #: "Network model").  ``mesh``/``torus`` grids take the most-square
+    #: factorization of the core count (16 → 4×4, 64 → 8×8).
     topology: str = "single-bus"
-    #: Mesh geometry as ``(rows, cols)``; ``None`` derives the most-square
-    #: factorization of the core count (16 → 4×4, 64 → 8×8).  Only
-    #: meaningful with ``topology="mesh"``.
-    mesh_dims: Optional[Tuple[int, int]] = None
     #: Per-hop propagation delay on NoC topologies.  Defaults near
     #: ``bus_latency / 3`` so a 3-hop NoC route costs about one bus
     #: traversal — the calibration that makes mesh-vs-bus comparisons
@@ -187,14 +181,6 @@ class SystemConfig:
     #: no progress (no push, pop, or device action) for this many cycles.
     watchdog_cycles: int = 1_000_000
 
-    # ------------------------------------------------------- component defaults
-    #: Routing-device flavor :class:`~repro.system.System` builds when the
-    #: caller names none (any name in :func:`repro.registry.device_names`).
-    default_device: str = "vl"
-    #: Delay algorithm used when a speculating device is built without one;
-    #: ``None`` defers to the device registration's own default.
-    default_algorithm: Optional[str] = None
-
     def __post_init__(self) -> None:
         if self.num_cores < 1:
             raise ConfigError(f"need at least one core, got {self.num_cores}")
@@ -204,7 +190,6 @@ class SystemConfig:
             "linktab_entries",
             "specbuf_entries",
             "num_srds",
-            "bus_channels",
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -238,57 +223,12 @@ class SystemConfig:
             )
         if self.watchdog_cycles < 1:
             raise ConfigError("watchdog_cycles must be >= 1")
-        # bus_occupancy=0 on ONE channel is the legal ideal-network
-        # ablation (infinite bandwidth, pure latency).  With several
-        # channels it is contradictory: channel selection and utilization
-        # both key on occupancy, so extra channels can neither be chosen
-        # differently nor accumulate busy cycles — the configuration
-        # silently degenerates to one channel while reporting many.
-        if self.bus_occupancy == 0 and self.bus_channels > 1:
-            raise ConfigError(
-                "bus_occupancy=0 with bus_channels>1 is contradictory: "
-                "zero-occupancy packets never distinguish channels, so "
-                "utilization accounting over multiple channels is "
-                "meaningless; use bus_channels=1 for the ideal-network "
-                "ablation"
-            )
-        if self.mesh_dims is not None:
-            if self.topology not in ("mesh", "torus"):
-                raise ConfigError(
-                    f"mesh_dims is only meaningful with a grid fabric "
-                    f"(topology='mesh' or 'torus'), "
-                    f"got topology={self.topology!r}"
-                )
-            rows, cols = self.mesh_dims
-            if rows < 1 or cols < 1:
-                raise ConfigError(f"mesh_dims must be positive, got {self.mesh_dims}")
-            if rows * cols < self.num_cores:
-                raise ConfigError(
-                    f"mesh_dims {rows}x{cols} has {rows * cols} nodes, "
-                    f"fewer than num_cores={self.num_cores}"
-                )
-        # Component defaults are validated against the registry lazily: the
-        # shipped defaults skip the check so importing this module does not
-        # drag in the device/algorithm modules (registry imports are cycle
-        # prone at config-import time).
-        if self.default_device != "vl":
-            from repro.registry import resolve_device
-
-            resolve_device(self.default_device)
-        # Same lazy pattern for the topology registry: the shipped default
-        # skips the lookup so importing config stays import-cycle free.
+        # The shipped default skips the topology-registry lookup so
+        # importing config stays import-cycle free.
         if self.topology != "single-bus":
             from repro.net.topology import resolve_topology
 
             resolve_topology(self.topology)
-        if self.default_algorithm is not None:
-            from repro.registry import algorithm_names
-
-            if self.default_algorithm not in algorithm_names():
-                raise ConfigError(
-                    f"unknown default_algorithm {self.default_algorithm!r}; "
-                    f"registered algorithms: {algorithm_names()}"
-                )
 
     # ----------------------------------------------------------------- helpers
     def to_dict(self) -> Dict:
@@ -300,12 +240,11 @@ class SystemConfig:
     @classmethod
     def from_dict(cls, data: Dict) -> "SystemConfig":
         """Rebuild a configuration from :meth:`to_dict` output."""
+        _reject_unknown_keys(data)
         data = dict(data)
         for cache_field in ("l1d", "l1i", "l2"):
             if cache_field in data and isinstance(data[cache_field], dict):
                 data[cache_field] = CacheConfig(**data[cache_field])
-        if isinstance(data.get("mesh_dims"), list):  # JSON round-trip
-            data["mesh_dims"] = tuple(data["mesh_dims"])
         return cls(**data)
 
     def to_json(self) -> str:
@@ -322,6 +261,7 @@ class SystemConfig:
 
     def with_overrides(self, **kwargs) -> "SystemConfig":
         """Return a copy with the given fields replaced."""
+        _reject_unknown_keys(kwargs)
         return replace(self, **kwargs)
 
     def table1_rows(self) -> Dict[str, str]:
@@ -343,6 +283,23 @@ class SystemConfig:
                 "linkTab, and specBuf"
             ),
         }
+
+
+_FIELD_NAMES = frozenset(f.name for f in fields(SystemConfig))
+
+
+def _reject_unknown_keys(keys) -> None:
+    """Raise :class:`ConfigError` naming every key that is not a field.
+
+    Batch specs and cached config dicts are outside input: a typo or a
+    field an older version had must fail as a configuration error, not as
+    the dataclass constructor's ``TypeError``.
+    """
+    unknown = sorted(set(keys) - _FIELD_NAMES)
+    if unknown:
+        raise ConfigError(
+            f"unknown SystemConfig field(s): {', '.join(unknown)}"
+        )
 
 
 #: The paper's evaluated configuration.

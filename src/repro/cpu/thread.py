@@ -73,17 +73,6 @@ class ThreadContext:
         cycles = self.system.rng.jitter(f"compute:{self.name}", base, fraction)
         yield self.core.compute(cycles)
 
-    def wait_until(self, tick: int) -> Generator:
-        """Sleep (off-core, plain timeout) until absolute *tick*.
-
-        No-op when *tick* is already past — an open-system session that
-        falls behind its arrival schedule admits the next request
-        immediately instead of waiting.
-        """
-        delay = int(tick) - self.env.now
-        if delay > 0:
-            yield self.env.timeout(delay)
-
     @property
     def now(self) -> int:
         return self.env.now

@@ -65,13 +65,9 @@ class CoherenceNetwork:
         #: packet when somebody subscribed to ``BusHook`` (None = silent).
         self.hooks = hooks
         #: The fabric model (:mod:`repro.net`): ``single-bus`` replicates
-        #: the historical earliest-free-channel arithmetic bit-for-bit;
-        #: NoC topologies route hop-by-hop through per-link servers.
+        #: the historical one-server arithmetic bit-for-bit; NoC
+        #: topologies route hop-by-hop through per-link servers.
         self.topology = build_topology(config.topology, env, config, hooks=hooks)
-        #: Compatibility aliases for the shared-bus model (empty/None on
-        #: NoC topologies, whose links are exposed via :meth:`links`).
-        self.channels = getattr(self.topology, "channels", [])
-        self.server = self.channels[0] if self.channels else None
         self.latency = config.bus_latency
         self.counters = Counter()
 
@@ -145,7 +141,7 @@ class CoherenceNetwork:
         return self.topology.link_report(elapsed)
 
     def utilization(self, elapsed: int = 0) -> float:
-        """Busy fraction over *elapsed* cycles across all channels/links
+        """Busy fraction over *elapsed* cycles across the bus or all links
         (default window: current sim time)."""
         return self.topology.utilization(elapsed)
 

@@ -8,9 +8,8 @@ column), which is deadlock-free and deterministic.  SRD shards are placed
 at evenly-spaced interior nodes so the mean core→SRD distance stays flat
 as shard count grows.
 
-Geometry comes from ``SystemConfig.mesh_dims`` or, when unset, the
-most-square factorization of the core count (16 → 4×4, 32 → 4×8,
-64 → 8×8; see :func:`repro.net.topology.derive_mesh_dims`).
+Geometry is the most-square factorization of the core count (16 → 4×4,
+32 → 4×8, 64 → 8×8; see :func:`repro.net.topology.derive_mesh_dims`).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ class MeshTopology(Topology):
         hooks: Optional["HookBus"] = None,
     ) -> None:
         super().__init__(env, config, hooks=hooks)
-        self.rows, self.cols = config.mesh_dims or derive_mesh_dims(config.num_cores)
+        self.rows, self.cols = derive_mesh_dims(config.num_cores)
         # Directed links keyed (src_node, dst_node), created in row-major
         # scan order so links() enumeration is deterministic.
         self._link_for = {}

@@ -1,12 +1,11 @@
 """The historical shared-bus model, expressed as a topology.
 
 This is *exactly* the arithmetic :class:`~repro.mem.bus.CoherenceNetwork`
-used before the topology layer existed: ``bus_channels`` parallel FIFO
-servers, each packet picking the earliest-free channel, serializing for
-``bus_occupancy`` cycles and propagating for ``bus_latency``.  Distance is
-invisible — every (src, dst) pair costs the same — which is the Table 1
-16-core configuration's model and the default, so golden metrics and trace
-fixtures stay bit-identical.
+used before the topology layer existed: one FIFO server, each packet
+serializing for ``bus_occupancy`` cycles and propagating for
+``bus_latency``.  Distance is invisible — every (src, dst) pair costs the
+same — which is the Table 1 16-core configuration's model and the default,
+so golden metrics and trace fixtures stay bit-identical.
 """
 
 from __future__ import annotations
@@ -34,10 +33,8 @@ class SingleBusTopology(Topology):
         hooks: Optional["HookBus"] = None,
     ) -> None:
         super().__init__(env, config, hooks=hooks)
-        self.channels = [
-            FifoServer(env, config.bus_occupancy, name=f"coherence-network[{i}]")
-            for i in range(config.bus_channels)
-        ]
+        self.channel = FifoServer(env, config.bus_occupancy,
+                                  name="coherence-network")
         self.latency = config.bus_latency
 
     # --------------------------------------------------------------- placement
@@ -63,21 +60,20 @@ class SingleBusTopology(Topology):
 
     # ------------------------------------------------------------------ transit
     def transit(self, kind: str, src: int, dst: int) -> Event:
-        # Verbatim the pre-topology CoherenceNetwork body: earliest-free
-        # channel, occupancy then propagation.  Event creation count and
-        # order are part of the bit-identity contract.
-        channel = min(self.channels, key=lambda s: max(s._free_at, self.env.now))
-        return channel.serve(extra_delay=self.latency)
+        # Verbatim the pre-topology CoherenceNetwork body: occupancy then
+        # propagation.  Event creation count and order are part of the
+        # bit-identity contract.
+        return self.channel.serve(extra_delay=self.latency)
 
     # ------------------------------------------------------------------ metrics
     def links(self) -> List:
-        # Channels are not spatial links; per-link reporting stays empty so
+        # The bus is not a spatial link; per-link reporting stays empty so
         # obs gauges/tracks only appear for real NoC topologies.
         return []
 
     @property
     def busy_cycles(self) -> int:
-        return sum(channel.busy_cycles for channel in self.channels)
+        return self.channel.busy_cycles
 
     @property
     def wait_cycles(self) -> int:
@@ -87,4 +83,4 @@ class SingleBusTopology(Topology):
         window = elapsed or self.env.now
         if window <= 0:
             return 0.0
-        return min(1.0, self.busy_cycles / (window * len(self.channels)))
+        return min(1.0, self.busy_cycles / window)

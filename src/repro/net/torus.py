@@ -36,7 +36,7 @@ class TorusTopology(Topology):
         hooks: Optional["HookBus"] = None,
     ) -> None:
         super().__init__(env, config, hooks=hooks)
-        self.rows, self.cols = config.mesh_dims or derive_mesh_dims(config.num_cores)
+        self.rows, self.cols = derive_mesh_dims(config.num_cores)
         # Directed links keyed (src_node, dst_node), created in row-major
         # scan order so links() enumeration is deterministic.
         self._link_for = {}

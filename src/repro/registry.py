@@ -35,7 +35,6 @@ _BUILTIN_MODULES = (
     "repro.vlink.vlrd",
     "repro.spamer.srd",
     "repro.spamer.delay",
-    "repro.spamer.learned",
     "repro.spamer.multipush",
 )
 
@@ -184,11 +183,6 @@ class AlgorithmSpec:
     #: Needs constructor arguments (e.g. ``fixed`` needs its delay), so it
     #: cannot be offered as a zero-configuration CLI/batch setting.
     requires_params: bool = False
-    #: Offer this algorithm in the zero-configuration setting lists.  Off
-    #: for ablation controls like ``never`` that only make sense embedded
-    #: in a purpose-built experiment (a speculating device that never
-    #: pushes deadlocks fetch-skipping consumers on real workloads).
-    offer_as_setting: bool = True
     description: str = ""
 
 
@@ -199,7 +193,6 @@ def register_algorithm(
     name: str,
     *,
     requires_params: bool = False,
-    offer_as_setting: bool = True,
     description: str = "",
 ) -> Callable:
     """Class/factory decorator: make a delay algorithm buildable by *name*."""
@@ -211,7 +204,6 @@ def register_algorithm(
             name=name,
             factory=factory,
             requires_params=requires_params,
-            offer_as_setting=offer_as_setting,
             description=description
             or (factory.__doc__ or "").strip().split("\n")[0],
         )
@@ -236,15 +228,13 @@ def algorithm_names(include_parameterized: bool = True) -> List[str]:
     """Registered algorithm names, sorted.
 
     ``include_parameterized=False`` drops algorithms that cannot be built
-    without arguments and ablation-only controls registered with
-    ``offer_as_setting=False`` (the CLI/batch setting lists use this).
+    without arguments (the CLI/batch setting lists use this).
     """
     _ensure_builtins()
     return sorted(
         name
         for name, spec in _ALGORITHMS.items()
-        if include_parameterized
-        or (not spec.requires_params and spec.offer_as_setting)
+        if include_parameterized or not spec.requires_params
     )
 
 

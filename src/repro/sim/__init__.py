@@ -2,21 +2,20 @@
 
 This subpackage replaces the paper's gem5 substrate with a transaction-level
 simulator: an event queue (:class:`Environment`), generator-based
-processes, contention primitives (:class:`Resource`, :class:`Store`,
+processes, contention primitives (:class:`Resource`,
 :class:`FifoServer`), statistics, tracing and seeded randomness.
 """
 
-from repro.sim.event import AllOf, AnyOf, Event, Timeout
+from repro.sim.event import AllOf, Event, Timeout
 from repro.sim.kernel import Environment, NORMAL, URGENT
 from repro.sim.process import Process
-from repro.sim.resources import FifoServer, Resource, Store
+from repro.sim.resources import FifoServer, Resource
 from repro.sim.rng import RngPool, bithash
 from repro.sim.stats import Counter, RunningStats, StateTimer, geometric_mean
 from repro.sim.trace import EventKind, TraceEvent, TraceRecorder, Transaction
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Counter",
     "Environment",
     "Event",
@@ -28,7 +27,6 @@ __all__ = [
     "RngPool",
     "RunningStats",
     "StateTimer",
-    "Store",
     "Timeout",
     "TraceEvent",
     "TraceRecorder",

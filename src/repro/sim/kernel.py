@@ -34,7 +34,7 @@ from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.event import AllOf, AnyOf, Event, PROCESSED, Timeout
+from repro.sim.event import AllOf, Event, PROCESSED, Timeout
 from repro.sim.process import Process
 
 #: Priority levels: URGENT callbacks run before NORMAL ones in the same cycle.
@@ -61,7 +61,6 @@ class Environment:
         "_queue",
         "_seq",
         "_processed",
-        "_active_process",
         "_watchdog",
         "_watchdog_after",
     )
@@ -75,7 +74,6 @@ class Environment:
         self._queue: List[Tuple] = []
         self._seq: int = 0
         self._processed: int = 0
-        self._active_process: Optional[Process] = None
         # Observe-only watchdog hook: called with the current time by the
         # first dispatch at or past the deadline.  It schedules nothing and
         # never mutates kernel state, so installing one cannot perturb the
@@ -112,11 +110,6 @@ class Environment:
         """Pending queue entries right now."""
         return len(self._queue)
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None outside process code)."""
-        return self._active_process
-
     # -- event factories ----------------------------------------------------
     def event(self, name: Optional[str] = None) -> Event:
         """Create an untriggered :class:`Event`."""
@@ -129,10 +122,6 @@ class Environment:
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Wrap *generator* as a :class:`Process` and start it now."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event firing when the first child fires."""
-        return AnyOf(self, list(events))
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event firing when every child has fired."""

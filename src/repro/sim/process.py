@@ -62,13 +62,9 @@ class Process(Event):
         """Advance the generator by one slice (kernel callback).
 
         Hot path: runs once per yield across every process in the
-        simulation, so ``self.env`` is hoisted to a local (slotted
-        attribute loads are cheap but not free, and this method takes
-        four of them).
+        simulation.
         """
-        env = self.env
         self._target = None
-        env._active_process = self
         try:
             if event.ok:
                 result = self.generator.send(event.value)
@@ -76,14 +72,11 @@ class Process(Event):
                 event.defuse()
                 result = self.generator.throw(event.value)
         except StopIteration as stop:
-            env._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            env._active_process = None
             self.fail(exc)
             return
-        env._active_process = None
 
         if not isinstance(result, Event):
             self.fail(

@@ -17,7 +17,6 @@ from repro.spamer.delay import (
     ZeroDelay,
     algorithm_by_name,
 )
-from repro.spamer.learned import HistoryDelay, PerceptronDelay
 from repro.spamer.security import SecurityPolicy
 from repro.spamer.specbuf import SpecBuf, SpecEntry
 from repro.spamer.srd import SpamerRoutingDevice
@@ -26,10 +25,8 @@ __all__ = [
     "AdaptiveDelay",
     "DelayAlgorithm",
     "FixedDelay",
-    "HistoryDelay",
     "MAX_DELAY",
     "NeverPush",
-    "PerceptronDelay",
     "SecurityPolicy",
     "SpamerRoutingDevice",
     "SpecBuf",

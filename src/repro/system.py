@@ -83,10 +83,10 @@ class System:
         self.network = CoherenceNetwork(self.env, self.config, hooks=self.hooks)
         self.addr_space = AddressSpace(self.config.dram_bytes)
 
-        device = device if device is not None else self.config.default_device
+        device = device if device is not None else "vl"
         spec = resolve_device(device)
         if spec.accepts_algorithm and algorithm is None:
-            algorithm = self.config.default_algorithm or spec.default_algorithm
+            algorithm = spec.default_algorithm
         if isinstance(algorithm, str):
             algorithm = algorithm_by_name(algorithm)
         self.devices: List[VirtualLinkRoutingDevice] = [

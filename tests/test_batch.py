@@ -38,8 +38,19 @@ def test_parse_spec_fills_defaults():
     ],
 )
 def test_parse_spec_rejects_bad_input(bad):
-    with pytest.raises((ConfigError, TypeError)):
+    with pytest.raises(ConfigError):
         parse_spec(bad)
+
+
+def test_unknown_config_keys_raise_config_error_naming_them():
+    # A typo and a field older versions had both take the ConfigError path.
+    from repro.config import SystemConfig
+
+    bad = {"bus_latncy": 72, "bus_channels": 2}
+    with pytest.raises(ConfigError, match="bus_channels, bus_latncy"):
+        parse_spec({"config": bad})
+    with pytest.raises(ConfigError, match="bus_channels, bus_latncy"):
+        SystemConfig.from_dict({**SystemConfig().to_dict(), **bad})
 
 
 def test_run_batch_produces_full_grid():

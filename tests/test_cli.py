@@ -70,12 +70,6 @@ def test_replicate_command(capsys):
     assert "95% CI" in out and "n=2" in out
 
 
-def test_run_with_learned_setting(capsys):
-    out = run_cli(capsys, "run", "ping-pong", "--setting", "perceptron",
-                  "--scale", "0.05")
-    assert "SPAMeR(perceptron)" in out
-
-
 def test_parser_rejects_missing_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -1,112 +1,16 @@
-"""Tests for the extensions beyond the paper's minimum: learned delay
-algorithms, multi-router systems, autotuning and the CLI."""
+"""Tests for the extensions beyond the paper's minimum: multi-router
+systems, autotuning and the CLI."""
 
 import pytest
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.eval.autotune import SEARCH_SPACE, autotune
-from repro.eval.runner import Setting, run_workload, standard_settings
-from repro.mem.address import Segment
-from repro.spamer.delay import TunedParams, algorithm_by_name
-from repro.spamer.learned import HistoryDelay, PerceptronDelay
-from repro.spamer.specbuf import SpecEntry
+from repro.eval.runner import run_workload, standard_settings
+from repro.spamer.delay import TunedParams
 from repro.system import System
-from repro.vlink.endpoint import ConsumerEndpoint
 
 SCALE = 0.06
-
-
-@pytest.fixture
-def entry(env):
-    ep = ConsumerEndpoint(env, 0, 1, Segment(0x1000, 4096), 0, 4, spec_enabled=True)
-    return SpecEntry(0, ep)
-
-
-# -------------------------------------------------------------- HistoryDelay
-def test_history_pushes_immediately_without_history(entry):
-    algo = HistoryDelay()
-    assert algo.send_tick(entry, 500) == 500
-
-
-def test_history_learns_interval(entry):
-    algo = HistoryDelay(smoothing=1.0, margin=0.0)
-    algo.on_response(entry, hit=True, now=1000)
-    algo.on_response(entry, hit=True, now=1200)  # interval 200
-    tick = algo.send_tick(entry, 1210)
-    assert tick == 1200 + 200  # planned at last_success + ewma
-
-
-def test_history_failures_back_off_without_corrupting_ewma(entry):
-    algo = HistoryDelay(smoothing=1.0, margin=0.0, backoff_step=50)
-    algo.on_response(entry, hit=True, now=1000)
-    algo.on_response(entry, hit=True, now=1200)
-    algo.on_response(entry, hit=False, now=1250)
-    algo.on_response(entry, hit=False, now=1300)
-    tick = algo.send_tick(entry, 1310)
-    assert tick == 1200 + 200 + 2 * 50  # ewma intact, backoff added
-    algo.on_response(entry, hit=True, now=1500)
-    assert algo._entry_state(entry).consecutive_failures == 0
-
-
-def test_history_validation():
-    with pytest.raises(ConfigError):
-        HistoryDelay(smoothing=0.0)
-    with pytest.raises(ConfigError):
-        HistoryDelay(margin=1.0)
-    with pytest.raises(ConfigError):
-        HistoryDelay(backoff_step=0)
-
-
-def test_history_state_is_per_entry(env):
-    algo = HistoryDelay()
-    eps = [
-        ConsumerEndpoint(env, i, 1, Segment(0x1000 * (i + 1), 4096), 0, 2, True)
-        for i in range(2)
-    ]
-    entries = [SpecEntry(i, eps[i]) for i in range(2)]
-    algo.on_response(entries[0], hit=True, now=100)
-    assert algo._entry_state(entries[1]).samples == 0
-
-
-# ------------------------------------------------------------ PerceptronDelay
-def test_perceptron_starts_aggressive(entry):
-    algo = PerceptronDelay()
-    assert algo.send_tick(entry, 100) == 100
-
-
-def test_perceptron_trains_on_mistakes(entry):
-    algo = PerceptronDelay(learning_rate=1.0)
-    algo.send_tick(entry, 0)
-    state = algo._entry_state(entry)
-    bias_before = state.bias
-    algo.on_response(entry, hit=False, now=10)  # aggressive push missed
-    assert state.bias < bias_before  # learns to be less aggressive
-
-
-def test_perceptron_no_update_on_correct_prediction(entry):
-    algo = PerceptronDelay(learning_rate=1.0)
-    algo.send_tick(entry, 0)
-    algo.on_response(entry, hit=True, now=10)  # aggressive and it hit
-    assert algo._entry_state(entry).bias == 0.0
-
-
-def test_perceptron_validation():
-    with pytest.raises(ConfigError):
-        PerceptronDelay(learning_rate=0)
-
-
-@pytest.mark.parametrize("name", ["history", "perceptron"])
-def test_learned_algorithms_run_end_to_end(name):
-    setting = Setting(f"SPAMeR({name})", "spamer", lambda: algorithm_by_name(name))
-    m = run_workload("incast", setting, scale=SCALE, limit=100_000_000)
-    assert m.messages_delivered == m.messages_produced > 0
-    assert m.spec_pushes > 0
-
-
-def test_factory_knows_learned_algorithms():
-    assert isinstance(algorithm_by_name("history"), HistoryDelay)
-    assert isinstance(algorithm_by_name("perceptron"), PerceptronDelay)
 
 
 # ---------------------------------------------------------------- multi-router
@@ -187,7 +91,8 @@ def test_cli_table_commands(capsys):
     assert "bitonic" in capsys.readouterr().out
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "ping-pong" in out and "perceptron" in out
+    assert "ping-pong" in out and "tuned" in out
+    assert "perceptron" not in out
 
 
 def test_cli_run_command(capsys):

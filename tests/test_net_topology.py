@@ -102,9 +102,8 @@ def test_mesh_srd_placement_interior_and_spread(env):
     assert all(0 <= node < 16 for node in nodes)
 
 
-def test_mesh_respects_explicit_dims(env):
-    mesh = build_topology("mesh", env, cfg(num_cores=8, mesh_dims=(2, 4),
-                                           topology="mesh"))
+def test_mesh_geometry_derived_from_core_count(env):
+    mesh = build_topology("mesh", env, cfg(num_cores=8, topology="mesh"))
     assert (mesh.rows, mesh.cols) == (2, 4)
     assert mesh.num_nodes == 8
 
@@ -234,15 +233,6 @@ def test_single_bus_matches_historical_arithmetic(env):
     assert bus.links() == []  # no per-link reporting on the bus model
     assert bus.wait_cycles == 0
     assert bus.busy_cycles == 9
-
-
-def test_single_bus_multichannel_picks_earliest_free(env):
-    bus = build_topology("single-bus", env, cfg(bus_channels=2))
-    done = []
-    for _ in range(2):
-        bus.transit("stash", 0, 1).subscribe(lambda e: done.append(env.now))
-    env.run()
-    assert done == [39, 39]  # two channels, no serialization
 
 
 # ------------------------------------------------------------------ hooks

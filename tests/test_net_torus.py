@@ -58,10 +58,9 @@ def test_two_wide_dimension_gets_no_wrap_links(env):
     assert topo.hops(0, 3) == 2
 
 
-def test_mesh_dims_accepted_for_torus(env):
+def test_two_by_four_torus_wraps_only_the_wide_dimension(env):
     topo = build_topology(
-        "torus", env, SystemConfig(topology="torus", num_cores=8,
-                                   mesh_dims=(2, 4)))
+        "torus", env, SystemConfig(topology="torus", num_cores=8))
     assert (topo.rows, topo.cols) == (2, 4)
     # only the 4-wide dimension is wrapped
     names = [l.name for l in topo.links()]

@@ -448,10 +448,12 @@ def test_cli_obs_single_cell_summary(capsys):
     from repro.cli import main
 
     assert main(["obs", "ping-pong", "--setting", "tuned",
-                 "--scale", "0.05"]) == 0
+                 "--scale", "0.05", "--summary"]) == 0
     out = capsys.readouterr().out
     assert "speculation accuracy" in out
     assert "ping-pong" in out
+    # Per-stage transaction latencies: the documented way to see them.
+    assert "stage latency" in out
 
 
 def test_cli_obs_writes_artifacts(tmp_path, capsys):

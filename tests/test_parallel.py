@@ -238,3 +238,51 @@ def test_run_workload_traced_delegates_to_run_workload():
     seen = []
     run_workload_traced("ping-pong", vl, scale=SCALE, on_system=seen.append)
     assert len(seen) == 1
+
+
+# ------------------------------------------------------ hash-seed independence
+_HASH_SEED_SCRIPT = """
+import hashlib
+from repro.eval.load import arrival_spec_for
+from repro.eval.parallel import RunRequest, execute_request
+from repro.eval.runner import setting_by_name, standard_settings
+from repro.eval.scaling import scaling_config
+from repro.serve.cache import metrics_bytes
+from repro.workloads.registry import workload_names
+
+requests = [RunRequest.from_setting(w, s, scale=0.05, seed=1)
+            for w in workload_names() for s in standard_settings()]
+requests.append(RunRequest.from_setting(
+    "incast", setting_by_name("tuned"), scale=0.05, seed=1,
+    config=scaling_config(16, "mesh"),
+    arrival=arrival_spec_for("poisson", 0.004)))
+digest = hashlib.sha256()
+for request in requests:
+    digest.update(metrics_bytes(execute_request(request)))
+print(digest.hexdigest())
+"""
+
+
+def test_metrics_independent_of_hash_seed():
+    """Str hashing is salted per process by ``PYTHONHASHSEED``; a result
+    that depends on set or dict-of-str iteration order would differ
+    between two interpreters.  The fig8 matrix plus one Poisson mesh cell
+    must give the same metrics bytes under two different salts."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    digests = []
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
