@@ -10,27 +10,33 @@ The *fabric* underneath is pluggable (:mod:`repro.net`): the default
 onto the network for :attr:`SystemConfig.bus_occupancy` cycles and then
 propagates for :attr:`SystemConfig.bus_latency` cycles, and utilization —
 the fraction of cycles with a packet occupying the network — is exactly the
-metric the paper reports in Figure 10b.  ``mesh``/``ring``/``crossbar``
-topologies instead route each packet hop-by-hop through per-link servers,
-so source/destination placement matters; callers pass ``src``/``dst`` node
-ids obtained from :meth:`CoherenceNetwork.core_node` /
+metric the paper reports in Figure 10b.  ``mesh``/``ring``/``torus``/
+``crossbar`` topologies instead route each packet hop-by-hop through
+per-link servers, so source/destination placement matters; callers pass
+``src``/``dst`` node ids obtained from :meth:`CoherenceNetwork.core_node` /
 :meth:`CoherenceNetwork.srd_node`.
+
+The network is callback-passing: a sender hands ``transit``/``response``
+the handler to run at delivery, and each hop is one ``call_later`` queue
+entry keyed exactly as the ``Timeout`` it replaced (docs/PERFORMANCE.md
+§5).  Only the MOESI baseline, whose processes ``yield`` their packets,
+goes through the :meth:`CoherenceNetwork.transit_event` adapter.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.net.topology import build_topology
 from repro.sim.event import Event
+from repro.sim.hooks import BusHook
 from repro.sim.stats import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import SystemConfig
     from repro.sim.hooks import HookBus
     from repro.sim.kernel import Environment
-    from repro.sim.transaction import TransactionRecord
 
 
 class PacketKind(Enum):
@@ -46,11 +52,11 @@ class PacketKind(Enum):
 class CoherenceNetwork:
     """Shared interconnect with occupancy accounting.
 
-    ``transit(kind)`` returns an event that fires when the packet has been
-    delivered at the far end (serialization + propagation).  Hit/miss
-    *response signals* ride the dedicated response channel and are modelled
-    as pure latency (no occupancy), matching the paper's utilization metric
-    which counts request/data packets only.
+    ``transit(kind, src, dst, callback, arg)`` runs ``callback(arg)`` when
+    the packet has been delivered at the far end (serialization +
+    propagation).  Hit/miss *response signals* ride the dedicated response
+    channel and are modelled as pure latency (no occupancy), matching the
+    paper's utilization metric which counts request/data packets only.
     """
 
     def __init__(
@@ -74,43 +80,56 @@ class CoherenceNetwork:
     def transit(
         self,
         kind: PacketKind,
-        txn: Optional["TransactionRecord"] = None,
-        src: int = 0,
-        dst: int = 0,
-    ) -> Event:
-        """Send one packet from node *src* to node *dst*; event fires at
-        delivery.
+        src: int,
+        dst: int,
+        callback: Callable[[Any], None],
+        arg: Any = None,
+    ) -> None:
+        """Send one packet from node *src* to node *dst*; *callback(arg)*
+        runs at delivery.
 
         On the ``single-bus`` topology *src*/*dst* are ignored (every pair
-        is equidistant).  *txn* threads the packet's transaction record
-        through the network layer so instrumentation can attribute
-        occupancy to lifecycles; the network itself only forwards it to
-        :class:`BusHook` subscribers.
+        is equidistant).
         """
         self.counters.add(kind.value)
         self.counters.add("total_packets")
-        delivered = self.topology.transit(kind.value, src, dst)
-        if self.hooks is not None:
-            from repro.sim.hooks import BusHook
-
-            if self.hooks.wants(BusHook):
-                self.hooks.publish(
-                    BusHook(
-                        tick=self.env.now,
-                        kind=kind.value,
-                        busy_cycles=self.busy_cycles,
-                    )
+        self.topology.transit(kind.value, src, dst, callback, arg)
+        hooks = self.hooks
+        if hooks is not None and hooks.wants(BusHook):
+            hooks.publish(
+                BusHook(
+                    tick=self.env.now,
+                    kind=kind.value,
+                    busy_cycles=self.busy_cycles,
                 )
-        return delivered
+            )
 
-    def response(self, src: int = 0, dst: int = 0) -> Event:
-        """Send a hit/miss response signal (latency only, no occupancy).
+    def transit_event(self, kind: PacketKind, src: int, dst: int) -> Event:
+        """:meth:`transit` for process code that waits on its packets
+        (the MOESI baseline of :mod:`repro.mem.coherence`).
+
+        The returned plain :class:`Event` is fired in place by the
+        delivery callback, so it adds no queue entry of its own: the
+        waiting process resumes inside the dispatch that delivers the
+        packet, exactly as it did when it waited on the delivery event.
+        """
+        event = Event(self.env)
+        self.transit(kind, src, dst, Event.succeed_now, event)
+        return event
+
+    def response(
+        self, src: int, dst: int, callback: Callable[[Any], None], arg: Any = None
+    ) -> None:
+        """Send a hit/miss response signal (latency only, no occupancy);
+        *callback(arg)* runs when it arrives.
 
         Responses ride dedicated wires but still cover the src→dst
         distance; on ``single-bus`` that is the flat ``bus_latency``.
         """
         self.counters.add("responses")
-        return self.env.timeout(self.topology.response_latency(src, dst))
+        self.env.call_later(
+            self.topology.response_latency(src, dst), callback, arg
+        )
 
     # -- placement ---------------------------------------------------------------
     def core_node(self, core_id: int) -> int:

@@ -137,13 +137,13 @@ class CoherentMemorySystem:
         # request travels to the coherence hub (the shared-L2 home node,
         # co-located with SRD shard 0); the bus model ignores placement.
         net = self.network
-        yield net.transit(
+        yield net.transit_event(
             PacketKind.COHERENCE, src=net.core_node(core), dst=net.srd_node(0)
         )
         supplier = self._snoop_for_supplier(core, addr)
         if supplier is not None:
             # Cache-to-cache transfer: one data packet supplier → requester.
-            yield net.transit(
+            yield net.transit_event(
                 PacketKind.COHERENCE,
                 src=net.core_node(supplier[0]),
                 dst=net.core_node(core),
@@ -194,7 +194,7 @@ class CoherentMemorySystem:
                 # S or O: upgrade — invalidate every other copy.
                 self.counters.add("upgrades")
                 net = self.network
-                yield net.transit(
+                yield net.transit_event(
                     PacketKind.COHERENCE,
                     src=net.core_node(core),
                     dst=net.srd_node(0),
@@ -209,12 +209,12 @@ class CoherentMemorySystem:
             # Store miss: BusRdX.
             self.counters.add("store_misses")
             net = self.network
-            yield net.transit(
+            yield net.transit_event(
                 PacketKind.COHERENCE, src=net.core_node(core), dst=net.srd_node(0)
             )
             supplier = self._snoop_for_supplier(core, addr)
             if supplier is not None:
-                yield net.transit(
+                yield net.transit_event(
                     PacketKind.COHERENCE,
                     src=net.core_node(supplier[0]),
                     dst=net.core_node(core),

@@ -10,10 +10,9 @@ so golden metrics and trace fixtures stay bit-identical.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
 from repro.net.topology import Topology, register_topology
-from repro.sim.event import Event
 from repro.sim.resources import FifoServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,11 +58,14 @@ class SingleBusTopology(Topology):
         return self.latency
 
     # ------------------------------------------------------------------ transit
-    def transit(self, kind: str, src: int, dst: int) -> Event:
+    def transit(
+        self, kind: str, src: int, dst: int,
+        callback: Callable[[Any], None], arg: Any = None,
+    ) -> None:
         # Verbatim the pre-topology CoherenceNetwork body: occupancy then
-        # propagation.  Event creation count and order are part of the
+        # propagation.  Queue-entry count and order are part of the
         # bit-identity contract.
-        return self.channel.serve(extra_delay=self.latency)
+        self.channel.serve(callback, arg, self.latency)
 
     # ------------------------------------------------------------------ metrics
     def links(self) -> List:

@@ -28,10 +28,12 @@ trace fixture is bit-identical to the pre-topology model.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING,
+)
 
 from repro.errors import ConfigError
-from repro.sim.event import Event
+from repro.sim.hooks import LinkHook
 from repro.sim.resources import FifoServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,12 +86,14 @@ class Link:
         self.latency = int(latency)
         self.wait_cycles = 0
 
-    def traverse(self) -> Event:
-        """Occupy the link for one packet; event fires at the far end."""
-        wait = self.server._free_at - self.env.now
+    def traverse(self, callback: Callable[[Any], None], arg: Any) -> None:
+        """Occupy the link for one packet; *callback(arg)* runs once it has
+        arrived at the far end."""
+        server = self.server
+        wait = server._free_at - self.env.now
         if wait > 0:
             self.wait_cycles += wait
-        return self.server.serve(extra_delay=self.latency)
+        server.serve(callback, arg, self.latency)
 
     @property
     def busy_cycles(self) -> int:
@@ -104,6 +108,47 @@ class Link:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Link {self.name} busy={self.busy_cycles} wait={self.wait_cycles}>"
+
+
+class _Packet:
+    """One multi-hop packet in flight: the hop chain as kernel callbacks.
+
+    Each :meth:`hop` reserves the next link only when the packet has
+    arrived at it (store-and-forward).  After the last hop,
+    :meth:`_deliver` hands the packet over through one zero-delay
+    ``call_later`` entry: the entry a delivery event's ``succeed()`` used
+    to add, with the same ``(time, priority, seq)`` key, so the kernel's
+    dispatch order is unchanged.
+    """
+
+    __slots__ = ("topology", "links", "index", "kind", "src", "dst",
+                 "callback", "arg")
+
+    def __init__(
+        self, topology: "Topology", links: Sequence[Link], kind: str,
+        src: int, dst: int, callback: Callable[[Any], None], arg: Any,
+    ) -> None:
+        self.topology = topology
+        self.links = links
+        self.index = 0
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.callback = callback
+        self.arg = arg
+
+    def hop(self, _arg: Any) -> None:
+        """The packet is at the head of link ``index``: serialize onto it."""
+        index = self.index
+        links = self.links
+        self.index = index + 1
+        self.topology._traverse(
+            links[index], self.kind, self.src, self.dst,
+            self._deliver if index + 1 == len(links) else self.hop, None,
+        )
+
+    def _deliver(self, _arg: Any) -> None:
+        self.topology.env.call_later(0, self.callback, self.arg)
 
 
 class Topology:
@@ -177,51 +222,47 @@ class Topology:
         return max(1, self.hops(src, dst)) * self.config.link_latency
 
     # ------------------------------------------------------------------ transit
-    def transit(self, kind: str, src: int, dst: int) -> Event:
-        """Move one packet from *src* to *dst*; event fires at delivery.
+    def transit(
+        self, kind: str, src: int, dst: int,
+        callback: Callable[[Any], None], arg: Any = None,
+    ) -> None:
+        """Move one packet from *src* to *dst*; *callback(arg)* runs at
+        delivery.
 
         Store-and-forward: the packet serializes onto link *i+1* only once
         it has fully arrived over link *i*, so a congested middle hop
-        delays exactly the packets routed through it.
+        delays exactly the packets routed through it.  A multi-hop packet
+        is delivered through one extra zero-delay queue entry after its
+        last hop (see :class:`_Packet`).
         """
         links = self.route(src, dst)
         if not links:
             # Same-node delivery: no fabric crossed, but the line still
             # serializes through the local port.
-            return self.env.timeout(self.config.bus_occupancy)
-        if len(links) == 1:
-            return self._traverse(links[0], kind, src, dst)
-        done = Event(self.env, name=f"net-delivery[{kind}]")
+            self.env.call_later(self.config.bus_occupancy, callback, arg)
+        elif len(links) == 1:
+            self._traverse(links[0], kind, src, dst, callback, arg)
+        else:
+            _Packet(self, links, kind, src, dst, callback, arg).hop(None)
 
-        def advance(index: int) -> None:
-            hop = self._traverse(links[index], kind, src, dst)
-            if index + 1 == len(links):
-                hop.subscribe(lambda _ev: done.succeed())
-            else:
-                hop.subscribe(lambda _ev: advance(index + 1))
-
-        advance(0)
-        return done
-
-    def _traverse(self, link: Link, kind: str, src: int, dst: int) -> Event:
-        event = link.traverse()
+    def _traverse(
+        self, link: Link, kind: str, src: int, dst: int,
+        callback: Callable[[Any], None], arg: Any,
+    ) -> None:
+        link.traverse(callback, arg)
         hooks = self.hooks
-        if hooks is not None:
-            from repro.sim.hooks import LinkHook
-
-            if hooks.wants(LinkHook):
-                hooks.publish(
-                    LinkHook(
-                        tick=self.env.now,
-                        link=link.name,
-                        kind=kind,
-                        src=src,
-                        dst=dst,
-                        busy_cycles=link.busy_cycles,
-                        wait_cycles=link.wait_cycles,
-                    )
+        if hooks is not None and hooks.wants(LinkHook):
+            hooks.publish(
+                LinkHook(
+                    tick=self.env.now,
+                    link=link.name,
+                    kind=kind,
+                    src=src,
+                    dst=dst,
+                    busy_cycles=link.busy_cycles,
+                    wait_cycles=link.wait_cycles,
                 )
-        return event
+            )
 
     # ------------------------------------------------------------------ metrics
     def links(self) -> List[Link]:

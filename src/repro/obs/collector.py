@@ -56,11 +56,11 @@ class MetricsCollector:
     ``request.sojourn``             per-request response-time histogram
 
     ``net.*`` names only appear on hop-routed topologies (mesh/ring/
-    crossbar) — the single-bus fabric publishes no :class:`LinkHook`, so
-    bus-model metric exports are unchanged byte for byte.  Likewise
-    ``request.*`` names only appear on open-system runs: a closed-batch
-    run never activates the request log, so no :class:`RequestHook` is
-    ever published there.
+    torus/crossbar) — the single-bus fabric publishes no
+    :class:`LinkHook`, so bus-model metric exports are unchanged byte for
+    byte.  Likewise ``request.*`` names only appear on open-system runs: a
+    closed-batch run never activates the request log, so no
+    :class:`RequestHook` is ever published there.
     """
 
     def __init__(self, bus: HookBus, registry: MetricsRegistry) -> None:

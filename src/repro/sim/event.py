@@ -15,18 +15,19 @@ exception attached; ``PROCESSED`` means its callbacks have run.
 Events never talk to the queue structure directly — they go through
 ``Environment.schedule``/``schedule_callback``, so every queue entry is
 counted by ``Environment.events_scheduled``.
-Every class here carries ``__slots__``; events are allocated per message
-hop, so the per-instance dict would be the kernel's largest allocation.
+Every class here carries ``__slots__``; events are allocated per process
+wait, so the per-instance dict would be the kernel's largest allocation.
 
 Allocation notes (docs/PERFORMANCE.md §5): most events have exactly zero
 or one subscriber, so the ``callbacks`` slot is *polymorphic* instead of
 eagerly holding a list — ``None`` (no subscriber yet), a bare callable
 (exactly one), a list (two or more), or the :data:`PROCESSED` sentinel
-once the kernel has dispatched the event.  A ping-pong hop therefore
+once the kernel has dispatched the event.  A process wait therefore
 allocates one ``Event`` and nothing else; the per-event callbacks list
 only exists for genuine fan-out (``AllOf`` children with extra
-watchers).  Use :meth:`Event.subscribe` to add callbacks — never touch
-the ``callbacks`` slot directly.
+watchers).  Use :meth:`Event.subscribe` to add callbacks and
+:meth:`Event.succeed_now` to fire an event inside the current dispatch
+— never touch the ``callbacks`` slot directly.
 """
 
 from __future__ import annotations
@@ -120,6 +121,25 @@ class Event:
         self._value = exception
         self.env.schedule(self)
         return self
+
+    def succeed_now(self, value: Any = None) -> None:
+        """Trigger the event and run its callbacks at once, inside the
+        current dispatch: what the kernel does for a dispatched event,
+        minus the queue entry.
+
+        For a waiter that must resume in the same dispatch as the work
+        that woke it; :meth:`succeed` would add an entry at a later seq.
+        """
+        if self.triggered:
+            raise SchedulingError(f"{self!r} has already been triggered")
+        callbacks = self.callbacks
+        self._value = value
+        self.callbacks = PROCESSED
+        if callbacks.__class__ is list:
+            for callback in callbacks:
+                callback(self)
+        elif callbacks is not None:
+            callbacks(self)
 
     def defuse(self) -> None:
         """Mark a failed event as handled so the kernel will not re-raise."""

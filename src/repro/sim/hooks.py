@@ -102,8 +102,8 @@ class BusHook(HookEvent):
 class LinkHook(HookEvent):
     """A packet traversed one directed NoC link (:mod:`repro.net`).
 
-    Only published by hop-routed topologies (mesh/ring/crossbar); the
-    default ``single-bus`` fabric has no links, so golden traces and
+    Only published by hop-routed topologies (mesh/ring/torus/crossbar);
+    the default ``single-bus`` fabric has no links, so golden traces and
     metrics of bus-model runs never see this event.
     """
 

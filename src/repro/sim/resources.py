@@ -16,7 +16,7 @@ the sim-leg profile (docs/PERFORMANCE.md §5).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, TYPE_CHECKING
+from typing import Any, Callable, Deque, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sim.event import Event
@@ -98,15 +98,24 @@ class FifoServer:
         self.busy_cycles: int = 0
         self.packets_served: int = 0
 
-    def serve(self, extra_delay: int = 0) -> Event:
-        """Enqueue one packet; the event fires when service (plus any
-        *extra_delay*, e.g. wire propagation after serialization) completes."""
-        start = max(self.env.now, self._free_at)
-        finish = start + self.service_time
+    def serve(
+        self, callback: Callable[[Any], None], arg: Any = None, extra_delay: int = 0
+    ) -> None:
+        """Enqueue one packet; *callback(arg)* runs when service (plus any
+        *extra_delay*, e.g. wire propagation after serialization) completes.
+
+        The completion rides the queue as one ``call_later`` entry, keyed
+        ``(finish + extra_delay, NORMAL, seq)`` exactly as a ``Timeout``
+        created here would be, so no :class:`Event` is allocated per packet.
+        """
+        env = self.env
+        now = env.now
+        free_at = self._free_at
+        finish = (now if now > free_at else free_at) + self.service_time
         self._free_at = finish
         self.busy_cycles += self.service_time
         self.packets_served += 1
-        return self.env.timeout(finish - self.env.now + int(extra_delay))
+        env.call_later(finish - now + extra_delay, callback, arg)
 
     def utilization(self, elapsed: Optional[int] = None) -> float:
         """Fraction of cycles the server was busy over *elapsed* (default: now)."""

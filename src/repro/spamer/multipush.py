@@ -403,11 +403,10 @@ class MultiPushSpeculation(SpecBufSpeculation):
             dst = network.core_node(claim.line.core_id)
             self.stats.add("rollback_invalidations")
             network.transit(
-                PacketKind.COHERENCE, txn=entry.message.txn, src=src, dst=dst
-            ).subscribe(
-                lambda _ev, b=burst, c=claim, s=spec_entry: self._invalidated(
+                PacketKind.COHERENCE, src, dst,
+                lambda _arg, b=burst, c=claim, s=spec_entry: self._invalidated(
                     b, c, s
-                )
+                ),
             )
         burst.pen.append(entry)
         self._maybe_flush(burst, spec_entry)

@@ -29,7 +29,7 @@ from typing import Any, Generator, Optional, TYPE_CHECKING
 from repro.errors import RegistrationError, WorkloadError
 from repro.mem.bus import PacketKind
 from repro.mem.cacheline import LineState
-from repro.sim.event import Event, PROCESSED
+from repro.sim.event import Event
 from repro.sim.hooks import DeliveryHook, PushHook, TraceHook, TransactionHook
 from repro.sim.trace import EventKind
 from repro.sim.transaction import TransactionRecord, TxnState
@@ -192,11 +192,13 @@ class QueueLibrary:
         # vl_push is posted (writeback-like): the producer continues while
         # the packet traverses the network; ownership is with the device.
         network = self.system.network
-        self.system.network.transit(
+        network.transit(
             PacketKind.PUSH_DATA,
-            src=network.core_node(producer.core_id),
-            dst=network.srd_node(device.srd_index),
-        ).subscribe(lambda _ev, m=message: device.accept_push(m))
+            network.core_node(producer.core_id),
+            network.srd_node(device.srd_index),
+            device.accept_push,
+            message,
+        )
         return message
 
     # -------------------------------------------------------------------- pop
@@ -294,9 +296,11 @@ class QueueLibrary:
         device = self.system.device_for(consumer.sqi)
         network.transit(
             PacketKind.REQUEST,
-            src=network.core_node(consumer.core_id),
-            dst=network.srd_node(device.srd_index),
-        ).subscribe(lambda _ev, r=request, d=device: d.accept_request(r))
+            network.core_node(consumer.core_id),
+            network.srd_node(device.srd_index),
+            device.accept_request,
+            request,
+        )
 
 
 class _ConsumerPoller:
@@ -393,10 +397,5 @@ class _ConsumerPoller:
             self._arm()
 
     def _resume(self, stopped: bool) -> None:
-        """Deliver *stopped* to the parked process inside this dispatch:
-        what the kernel does for a dispatched event, minus the queue."""
-        wake = self.wake
-        resume = wake.callbacks
-        wake._value = stopped
-        wake.callbacks = PROCESSED
-        resume(wake)
+        """Deliver *stopped* to the parked process inside this dispatch."""
+        self.wake.succeed_now(stopped)

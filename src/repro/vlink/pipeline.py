@@ -17,8 +17,9 @@ pipeline with their own policy instead of monkeying with the device class.
 The pipeline stamps every packet's :class:`~repro.sim.transaction.
 TransactionRecord` (MAPPED / BUFFERED / MATCHED / COALESCED) and publishes
 trace moments onto the hook bus; it schedules only the stage-latency
-timeouts the monolithic device used to, so refactored runs are
-bit-identical to the pre-pipeline ones.
+delays the monolithic device used to (as ``call_later`` entries keyed like
+the timeouts they replaced), so refactored runs are bit-identical to the
+pre-pipeline ones.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Environment
     from repro.sim.stats import Counter
     from repro.vlink.endpoint import ConsumerEndpoint
+
+
+def _call(fn: Callable[[], None]) -> None:
+    """``call_later`` payload of :meth:`MappingPipeline._after`."""
+    fn()
 
 
 class SpecTarget:
@@ -159,7 +165,7 @@ class MappingPipeline:
     # ------------------------------------------------------------------ helpers
     def _after(self, delay: int, fn: Callable[[], None]) -> None:
         """Run *fn* after *delay* cycles (pipeline-internal sequencing)."""
-        self.env.timeout(delay).subscribe(lambda _ev: fn())
+        self.env.call_later(delay, _call, fn)
 
     def stamp(
         self,

@@ -221,11 +221,8 @@ class VirtualLinkRoutingDevice:
         # (and the response signal rides the same distance back).
         src = self.network.srd_node(self.srd_index)
         dst = self.network.core_node(line.core_id)
-        delivered = self.network.transit(
-            PacketKind.STASH, txn=entry.message.txn, src=src, dst=dst
-        )
 
-        def on_delivery(_ev) -> None:
+        def on_delivery(_arg) -> None:
             vacate_time = line.last_vacate_time
             hit = line.try_fill(
                 entry.message,
@@ -242,11 +239,12 @@ class VirtualLinkRoutingDevice:
                     detail="speculative" if speculative else "on-demand",
                 )
             # The hit/miss response signal rides back to the device.
-            self.network.response(src=dst, dst=src).subscribe(
-                lambda _r: self._on_response(entry, line, hit, speculative)
+            self.network.response(
+                dst, src,
+                lambda _arg: self._on_response(entry, line, hit, speculative),
             )
 
-        delivered.subscribe(on_delivery)
+        self.network.transit(PacketKind.STASH, src, dst, on_delivery)
 
     def _on_response(
         self, entry: ProdEntry, line: ConsumerLine, hit: bool, speculative: bool

@@ -6,7 +6,10 @@ properties that nothing else in the suite pins directly:
 
 * every per-event / per-component class in ``sim/`` carries ``__slots__``
   (an instance ``__dict__`` would be the kernel's largest allocation), as
-  does the consumer poller allocated per parked pop;
+  do the consumer poller allocated per parked pop and the multi-hop
+  packet allocated per NoC packet;
+* the network path allocates no ``Event`` or ``Timeout`` per packet: each
+  hop and each delivery is a ``call_later`` entry;
 * the ``Event.callbacks`` slot is polymorphic (None | callable | list |
   PROCESSED) and all four states behave identically to the old
   always-a-list protocol;
@@ -17,6 +20,7 @@ properties that nothing else in the suite pins directly:
 from __future__ import annotations
 
 import inspect
+import sys
 
 import pytest
 
@@ -32,6 +36,7 @@ import repro.sim.transaction
 from repro.errors import SchedulingError
 from repro.sim.event import Event, PROCESSED
 from repro.sim.kernel import Environment, NORMAL, URGENT
+from repro.net.topology import _Packet
 from repro.vlink.library import _ConsumerPoller
 
 
@@ -81,6 +86,55 @@ def test_consumer_poller_defines_slots():
     """The pop slow path's poller is allocated per parked pop.  Its module
     cannot join the audit above: ``QueueLibrary`` there is unslotted."""
     assert not hasattr(_ConsumerPoller.__new__(_ConsumerPoller), "__dict__")
+
+
+def test_multi_hop_packet_defines_slots():
+    """One ``_Packet`` is allocated per multi-hop NoC packet."""
+    assert not hasattr(_Packet.__new__(_Packet), "__dict__")
+
+
+# ------------------------------------------------------ event-free network
+def _event_allocations_by_module(monkeypatch, config):
+    """Run one small cell, counting every ``Event`` (and subclass)
+    allocation by the module of the first caller outside ``repro.sim``."""
+    from repro.eval.runner import run_workload, setting_by_name
+
+    counts = {}
+    original = Event.__init__
+
+    def counting_init(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_globals.get("__name__", "").startswith("repro.sim"):
+            frame = frame.f_back
+        module = frame.f_globals.get("__name__", "")
+        counts[module] = counts.get(module, 0) + 1
+        original(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Event, "__init__", counting_init)
+        _metrics, system = run_workload(
+            "firewall", setting_by_name("tuned"), scale=0.05, config=config,
+            return_system=True,
+        )
+    return counts, system
+
+
+@pytest.mark.parametrize("topology", ["mesh", "single-bus"])
+def test_network_path_allocates_no_events(monkeypatch, topology):
+    from repro.eval.scaling import scaling_config
+
+    counts, system = _event_allocations_by_module(
+        monkeypatch, scaling_config(16, topology)
+    )
+    assert system.network.total_packets > 0
+    if topology == "mesh":
+        assert max(link.packets for link in system.network.links()) > 0
+    assert sum(counts.values()) > 0  # the counter sees the rest of the run
+    network = {
+        module: n for module, n in counts.items()
+        if module.startswith("repro.net") or module == "repro.mem.bus"
+    }
+    assert network == {}
 
 
 # --------------------------------------------------- polymorphic callbacks slot

@@ -100,11 +100,10 @@ def test_double_charging_the_invalidation_network_is_detected(monkeypatch):
             dst = network.core_node(claim.line.core_id)
             self.stats.add("rollback_invalidations")
             network.transit(
-                PacketKind.COHERENCE, txn=entry.message.txn, src=src, dst=dst
-            ).subscribe(
-                lambda _ev, b=burst, c=claim, s=spec_entry: self._invalidated(
+                PacketKind.COHERENCE, src, dst,
+                lambda _arg, b=burst, c=claim, s=spec_entry: self._invalidated(
                     b, c, s
-                )
+                ),
             )
         orig(self, entry, hit, now)
 

@@ -22,6 +22,10 @@ def cfg(**overrides):
     return SystemConfig(**defaults)
 
 
+def _ignore(_arg):
+    pass
+
+
 # ----------------------------------------------------------------- registry
 def test_builtin_topologies_registered():
     assert topology_names() == ["crossbar", "mesh", "ring", "single-bus", "torus"]
@@ -113,12 +117,12 @@ def test_mesh_transit_latency_per_hop(env):
     mesh = build_topology("mesh", env, config)
     done = []
     # 1 hop: occupancy (3) + link latency (12).
-    mesh.transit("stash", 0, 1).subscribe(lambda e: done.append(env.now))
+    mesh.transit("stash", 0, 1, lambda _: done.append(env.now))
     env.run()
     assert done == [15]
     # Same-node: local port serialization only.
     done.clear()
-    mesh.transit("stash", 3, 3).subscribe(lambda e: done.append(env.now))
+    mesh.transit("stash", 3, 3, lambda _: done.append(env.now))
     env.run()
     assert done == [env.now]  # fired exactly at completion
     assert mesh.response_latency(0, 2) == 2 * config.link_latency
@@ -129,7 +133,7 @@ def test_mesh_multi_hop_is_store_and_forward(env):
     mesh = build_topology("mesh", env, cfg(num_cores=16))
     done = []
     start = env.now
-    mesh.transit("stash", 0, 3).subscribe(lambda e: done.append(env.now))
+    mesh.transit("stash", 0, 3, lambda _: done.append(env.now))
     env.run()
     # 3 hops, each paying serialization then propagation, sequentially.
     assert done == [start + 3 * (3 + 12)]
@@ -140,7 +144,7 @@ def test_link_contention_accumulates_wait_cycles(env):
     mesh = build_topology("mesh", env, cfg(num_cores=16))
     done = []
     for _ in range(3):
-        mesh.transit("stash", 0, 1).subscribe(lambda e: done.append(env.now))
+        mesh.transit("stash", 0, 1, lambda _: done.append(env.now))
     env.run()
     # Serialization spacing on the shared east link: 3 cycles apart.
     assert done == [15, 18, 21]
@@ -155,8 +159,8 @@ def test_link_contention_accumulates_wait_cycles(env):
 def test_disjoint_mesh_paths_do_not_contend(env):
     mesh = build_topology("mesh", env, cfg(num_cores=16))
     done = []
-    mesh.transit("stash", 0, 1).subscribe(lambda e: done.append(("a", env.now)))
-    mesh.transit("stash", 4, 5).subscribe(lambda e: done.append(("b", env.now)))
+    mesh.transit("stash", 0, 1, lambda _: done.append(("a", env.now)))
+    mesh.transit("stash", 4, 5, lambda _: done.append(("b", env.now)))
     env.run()
     assert done == [("a", 15), ("b", 15)]
     assert mesh.wait_cycles == 0
@@ -164,7 +168,7 @@ def test_disjoint_mesh_paths_do_not_contend(env):
 
 def test_link_report_and_utilization(env):
     mesh = build_topology("mesh", env, cfg(num_cores=16))
-    mesh.transit("stash", 0, 1)
+    mesh.transit("stash", 0, 1, _ignore)
     env.run()
     report = mesh.link_report(elapsed=100)
     used = [row for row in report if row["packets"]]
@@ -210,8 +214,8 @@ def test_crossbar_two_hop_routes_and_endpoint_contention(env):
     done = []
     # Two packets from different sources to the same destination: no
     # ingress contention, but they serialize on the shared egress link.
-    xbar.transit("push-data", 0, 4).subscribe(lambda e: done.append(env.now))
-    xbar.transit("push-data", 1, 4).subscribe(lambda e: done.append(env.now))
+    xbar.transit("push-data", 0, 4, lambda _: done.append(env.now))
+    xbar.transit("push-data", 1, 4, lambda _: done.append(env.now))
     env.run()
     assert done == [30, 33]  # 2 hops x (3+12); second waits 3 at egress
     egress = next(l for l in xbar.links() if l.name == "xbar.out[srd0]")
@@ -223,7 +227,7 @@ def test_single_bus_matches_historical_arithmetic(env):
     bus = build_topology("single-bus", env, cfg())
     done = []
     for _ in range(3):
-        bus.transit("stash", 0, 5).subscribe(lambda e: done.append(env.now))
+        bus.transit("stash", 0, 5, lambda _: done.append(env.now))
     env.run()
     # occupancy(3) + latency(36), 3-cycle serialization spacing — the
     # exact pre-topology CoherenceNetwork numbers (tests/test_mem_bus.py).
@@ -241,7 +245,7 @@ def test_link_hook_published_per_traversal(env):
     seen = []
     hooks.subscribe(LinkHook, seen.append)
     mesh = build_topology("mesh", env, cfg(num_cores=16), hooks=hooks)
-    mesh.transit("stash", 0, 2)
+    mesh.transit("stash", 0, 2, _ignore)
     env.run()
     assert [e.link for e in seen] == ["mesh.e[0,0]", "mesh.e[0,1]"]
     assert all(e.kind == "stash" and (e.src, e.dst) == (0, 2) for e in seen)
@@ -250,7 +254,7 @@ def test_link_hook_published_per_traversal(env):
 def test_no_link_hooks_without_subscribers(env):
     hooks = HookBus()
     mesh = build_topology("mesh", env, cfg(num_cores=16), hooks=hooks)
-    mesh.transit("stash", 0, 1)
+    mesh.transit("stash", 0, 1, _ignore)
     env.run()  # wants() gate: publish never constructs events
     assert hooks.errors == []
 
@@ -260,6 +264,6 @@ def test_single_bus_never_publishes_link_hooks(env):
     seen = []
     hooks.subscribe(LinkHook, seen.append)
     bus = build_topology("single-bus", env, cfg(), hooks=hooks)
-    bus.transit("stash", 0, 1)
+    bus.transit("stash", 0, 1, _ignore)
     env.run()
     assert seen == []

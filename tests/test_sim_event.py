@@ -32,6 +32,20 @@ def test_double_trigger_rejected(env):
         ev.fail(RuntimeError("late"))
 
 
+def test_succeed_now_runs_callbacks_without_a_queue_entry(env):
+    got = []
+    ev = env.event()
+    ev.subscribe(lambda e: got.append(("a", e.value, env.now)))
+    ev.subscribe(lambda e: got.append(("b", e.value, env.now)))
+    scheduled = env.events_scheduled
+    ev.succeed_now(7)
+    assert got == [("a", 7, 0), ("b", 7, 0)]
+    assert ev.processed and ev.ok and ev.value == 7
+    assert env.events_scheduled == scheduled
+    with pytest.raises(SchedulingError):
+        ev.succeed_now(8)
+
+
 def test_fail_requires_exception(env):
     ev = env.event()
     with pytest.raises(TypeError):

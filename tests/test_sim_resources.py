@@ -60,20 +60,23 @@ def test_handoff_keeps_in_use_constant(env):
 
 
 # ----------------------------------------------------------------- FifoServer
+def _ignore(_arg):
+    pass
+
+
 def test_fifo_server_serializes(env):
     server = FifoServer(env, service_time=10)
-    done = [server.serve(), server.serve(), server.serve()]
     times = []
-    for ev in done:
-        ev.subscribe(lambda e: times.append(env.now))
+    for _ in range(3):
+        server.serve(lambda _: times.append(env.now))
     env.run()
     assert times == [10, 20, 30]
 
 
 def test_fifo_server_busy_accounting(env):
     server = FifoServer(env, service_time=10)
-    server.serve()
-    server.serve()
+    server.serve(_ignore)
+    server.serve(_ignore)
     env.run()
     assert server.busy_cycles == 20
     assert server.packets_served == 2
@@ -82,7 +85,7 @@ def test_fifo_server_busy_accounting(env):
 
 def test_fifo_server_idle_gap_not_counted(env):
     server = FifoServer(env, service_time=5)
-    server.serve()
+    server.serve(_ignore)
     env.run()
     env.timeout(95)
     env.run()
@@ -92,9 +95,8 @@ def test_fifo_server_idle_gap_not_counted(env):
 
 def test_fifo_server_extra_delay(env):
     server = FifoServer(env, service_time=10)
-    first = server.serve(extra_delay=7)
     times = []
-    first.subscribe(lambda e: times.append(env.now))
+    server.serve(lambda _: times.append(env.now), extra_delay=7)
     env.run()
     assert times == [17]
     # extra delay is propagation, not occupancy:
@@ -119,7 +121,7 @@ def test_fifo_server_conservation_property(arrivals, service):
     completions = []
     for a in sorted(arrivals):
         env.timeout(a).subscribe(
-            lambda _e: server.serve().subscribe(lambda _d: completions.append(env.now))
+            lambda _e: server.serve(lambda _d: completions.append(env.now))
         )
     env.run()
     assert len(completions) == len(arrivals)
