@@ -25,7 +25,7 @@ from repro.obs.accuracy import (
     accuracy_from_metrics,
     stage_latency_summary,
 )
-from repro.obs.collector import MetricsCollector, attach_collector, finalize_system
+from repro.obs.collector import MetricsCollector, finalize_system
 from repro.obs.metrics import (
     NULL_METRICS,
     MetricsRegistry,
@@ -49,7 +49,6 @@ __all__ = [
     "SpeculationAccuracy",
     "WindowedHistogram",
     "accuracy_from_metrics",
-    "attach_collector",
     "collect_cell",
     "finalize_system",
     "run_obs",

@@ -81,20 +81,22 @@ class SpeculationAccuracy:
 
 
 def accuracy_from_metrics(metrics: RunMetrics) -> SpeculationAccuracy:
-    """Derive the accuracy report from a finished run's counters."""
-    hits = metrics.spec_pushes - metrics.spec_failures
-    rollbacks = int(metrics.extra.get("spec_rollbacks", 0))
-    invalidations = int(metrics.extra.get("rollback_invalidations", 0))
+    """Derive the accuracy report from a finished run's counters.
+
+    ``spec_hits`` and ``wasted_push_bytes`` are :class:`RunMetrics`'
+    own definitions, so the report and the metrics never disagree.
+    """
     return SpeculationAccuracy(
         workload=metrics.workload,
         setting=metrics.setting,
         spec_pushes=metrics.spec_pushes,
-        spec_hits=hits,
+        spec_hits=metrics.spec_hits,
         messages_delivered=metrics.messages_delivered,
-        wasted_push_bytes=(metrics.spec_failures + invalidations)
-        * CACHELINE_BYTES,
-        spec_rollbacks=rollbacks,
-        rollback_invalidations=invalidations,
+        wasted_push_bytes=metrics.wasted_push_bytes,
+        spec_rollbacks=int(metrics.extra.get("spec_rollbacks", 0)),
+        rollback_invalidations=int(
+            metrics.extra.get("rollback_invalidations", 0)
+        ),
     )
 
 

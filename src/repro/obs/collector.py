@@ -16,7 +16,7 @@ totals, network busy cycles/utilization, and consumer-line occupancy.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.hooks import (
@@ -65,23 +65,15 @@ class MetricsCollector:
 
     def __init__(self, bus: HookBus, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self._subs = [
-            bus.subscribe(TransactionHook, self._on_transaction),
-            bus.subscribe(SpecBufHook, self._on_specbuf),
-            bus.subscribe(SpecDecisionHook, self._on_decision),
-            bus.subscribe(BusHook, self._on_bus),
-            bus.subscribe(LinkHook, self._on_link),
-            bus.subscribe(LineHook, self._on_line),
-            bus.subscribe(PushHook, self._on_push),
-            bus.subscribe(DeliveryHook, self._on_delivery),
-            bus.subscribe(RequestHook, self._on_request),
-        ]
-        self._bus = bus
-
-    def detach(self) -> None:
-        for sub in self._subs:
-            self._bus.unsubscribe(sub)
-        self._subs = []
+        bus.subscribe(TransactionHook, self._on_transaction)
+        bus.subscribe(SpecBufHook, self._on_specbuf)
+        bus.subscribe(SpecDecisionHook, self._on_decision)
+        bus.subscribe(BusHook, self._on_bus)
+        bus.subscribe(LinkHook, self._on_link)
+        bus.subscribe(LineHook, self._on_line)
+        bus.subscribe(PushHook, self._on_push)
+        bus.subscribe(DeliveryHook, self._on_delivery)
+        bus.subscribe(RequestHook, self._on_request)
 
     # -------------------------------------------------------------- handlers
     def _on_transaction(self, event: TransactionHook) -> None:
@@ -205,10 +197,3 @@ def finalize_system(system: "System", registry: MetricsRegistry) -> None:
     )
     for key, value in sorted(system.aggregate_device_stats().as_dict().items()):
         registry.gauge_set(f"device.{key}", float(value))
-
-
-def attach_collector(
-    system: "System", registry: Optional[MetricsRegistry] = None
-) -> MetricsCollector:
-    """Convenience: wire a collector onto a system's hook bus."""
-    return MetricsCollector(system.hooks, registry or MetricsRegistry())

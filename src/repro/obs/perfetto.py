@@ -94,28 +94,20 @@ class PerfettoTraceSink:
         self.events: List[dict] = []
         self._named_processes: set = set()
         self._named_threads: Dict[Tuple[int, int], str] = {}
-        self._subs = [
-            bus.subscribe(TransactionHook, self._on_transaction),
-            bus.subscribe(PushHook, self._on_push),
-            bus.subscribe(DeliveryHook, self._on_delivery),
-            bus.subscribe(SpecBufHook, self._on_specbuf),
-            bus.subscribe(SpecDecisionHook, self._on_decision),
-            bus.subscribe(BusHook, self._on_bus),
-            bus.subscribe(LineHook, self._on_line),
-            bus.subscribe(LinkHook, self._on_link),
-            bus.subscribe(RequestHook, self._on_request),
-        ]
-        self._bus = bus
+        bus.subscribe(TransactionHook, self._on_transaction)
+        bus.subscribe(PushHook, self._on_push)
+        bus.subscribe(DeliveryHook, self._on_delivery)
+        bus.subscribe(SpecBufHook, self._on_specbuf)
+        bus.subscribe(SpecDecisionHook, self._on_decision)
+        bus.subscribe(BusHook, self._on_bus)
+        bus.subscribe(LineHook, self._on_line)
+        bus.subscribe(LinkHook, self._on_link)
+        bus.subscribe(RequestHook, self._on_request)
         #: Dense per-link thread ids, assigned in first-traversal order
         #: (the event stream is deterministic, so the mapping is too).
         self._link_tids: Dict[str, int] = {}
         #: Dense per-session thread ids, assigned in first-event order.
         self._session_tids: Dict[str, int] = {}
-
-    def detach(self) -> None:
-        for sub in self._subs:
-            self._bus.unsubscribe(sub)
-        self._subs = []
 
     # ----------------------------------------------------------- track naming
     def _track(self, pid: int, tid: int, thread_name: str) -> Tuple[int, int]:
@@ -323,24 +315,16 @@ class JsonlTraceSink:
 
     def __init__(self, bus: HookBus) -> None:
         self.lines: List[str] = []
-        self._subs = [
-            bus.subscribe(TransactionHook, self._on_transaction),
-            bus.subscribe(TraceHook, self._on_trace),
-            bus.subscribe(PushHook, self._on_simple("push")),
-            bus.subscribe(DeliveryHook, self._on_simple("delivery")),
-            bus.subscribe(SpecBufHook, self._on_specbuf),
-            bus.subscribe(SpecDecisionHook, self._on_decision),
-            bus.subscribe(BusHook, self._on_bus),
-            bus.subscribe(LineHook, self._on_line),
-            bus.subscribe(LinkHook, self._on_link),
-            bus.subscribe(RequestHook, self._on_request),
-        ]
-        self._bus = bus
-
-    def detach(self) -> None:
-        for sub in self._subs:
-            self._bus.unsubscribe(sub)
-        self._subs = []
+        bus.subscribe(TransactionHook, self._on_transaction)
+        bus.subscribe(TraceHook, self._on_trace)
+        bus.subscribe(PushHook, self._on_simple("push"))
+        bus.subscribe(DeliveryHook, self._on_simple("delivery"))
+        bus.subscribe(SpecBufHook, self._on_specbuf)
+        bus.subscribe(SpecDecisionHook, self._on_decision)
+        bus.subscribe(BusHook, self._on_bus)
+        bus.subscribe(LineHook, self._on_line)
+        bus.subscribe(LinkHook, self._on_link)
+        bus.subscribe(RequestHook, self._on_request)
 
     def _emit(self, obj: dict) -> None:
         self.lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))

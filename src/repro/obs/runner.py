@@ -21,11 +21,10 @@ assigned from the submission index, not from scheduling.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.eval.parallel import _mp_context, resolve_jobs
+from repro.eval.parallel import make_pool, resolve_jobs
 from repro.eval.runner import run_workload, setting_by_name
 from repro.obs.accuracy import accuracy_from_metrics, stage_latency_summary
 from repro.obs.collector import MetricsCollector, finalize_system
@@ -182,8 +181,6 @@ def run_obs(
     workers = min(resolve_jobs(jobs), len(requests)) if requests else 1
     if workers <= 1:
         return ObsResult([collect_cell(request) for request in requests])
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=_mp_context()
-    ) as pool:
+    with make_pool(workers) as pool:
         futures = [pool.submit(collect_cell, request) for request in requests]
         return ObsResult([future.result() for future in futures])

@@ -4,26 +4,26 @@ Simulation components publish *typed events* — transaction state changes,
 the five Figure-7 trace moments, specBuf hit/miss outcomes, network
 occupancy — onto a :class:`HookBus`; observers subscribe per event type
 instead of being hard-wired into the hot path.  The
-:class:`~repro.sim.trace.TraceRecorder` and the per-stage latency
-histograms of :mod:`repro.eval.metrics` are both plain subscribers.
+:class:`~repro.sim.trace.TraceRecorder`, the metrics collector, the trace
+sinks and the invariant checker are all plain subscribers.
 
 Design constraints:
 
 * **Zero-cost when silent** — publishers guard with :meth:`HookBus.wants`
   so no event object is even constructed unless somebody listens.
-* **Deterministic delivery** — subscribers fire synchronously, in
-  subscription order, walking the event type's MRO (subscribe to
-  :class:`HookEvent` to observe everything).
-* **Isolation** — an exception in one subscriber is captured onto
-  :attr:`HookBus.errors` and never prevents delivery to the others.
+* **Deterministic delivery** — subscribers of an event's exact type fire
+  synchronously, in subscription order (there is no catch-all type).
+* **Fails loudly** — a subscriber exception propagates out of
+  :meth:`HookBus.publish`, so a broken observer fails the run instead of
+  silently dropping what it was meant to see.
 * **No timing impact** — publishing schedules no simulation events, so
   attaching instrumentation never changes a run's tick sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.sim.trace import EventKind
 from repro.sim.transaction import TransactionRecord, TxnState
@@ -32,7 +32,7 @@ from repro.sim.transaction import TransactionRecord, TxnState
 # --------------------------------------------------------------------- events
 @dataclass(frozen=True, slots=True)
 class HookEvent:
-    """Base class for every bus event; subscribe to it to observe all."""
+    """Base class for every bus event (delivery is by exact type)."""
 
     tick: int
 
@@ -43,7 +43,7 @@ class TraceHook(HookEvent):
 
     ``tick`` may lie in the past: a request arrival is only attributable to
     a transaction once its data shows up, and is then published with its
-    original timestamp (the trace's ``record_at`` semantics).
+    original timestamp (back-timestamped).
     """
 
     kind: EventKind = EventKind.DATA_ARRIVE
@@ -148,7 +148,7 @@ class RequestHook(HookEvent):
     is only set on the completion event.  ``tick`` may lie in the past
     for the arrival stamp: a backlogged session admits a request after
     its scheduled arrival and publishes the arrival with its planned
-    tick (the same ``record_at`` semantics as :class:`TraceHook`).
+    tick (back-timestamped, like :class:`TraceHook`).
     """
 
     rid: int = 0
@@ -176,100 +176,32 @@ class LineHook(HookEvent):
 
 
 # ----------------------------------------------------------------------- bus
-@dataclass(frozen=True, slots=True)
-class Subscription:
-    """Handle returned by :meth:`HookBus.subscribe`; pass to unsubscribe."""
-
-    event_type: Type[HookEvent]
-    token: int
-    callback: Callable[[Any], None] = field(compare=False)
-
-
 class HookBus:
     """Synchronous publish/subscribe fan-out for instrumentation events."""
 
-    __slots__ = ("_subs", "_next_token", "_resolved", "errors")
+    __slots__ = ("_subs",)
 
     def __init__(self) -> None:
-        self._subs: Dict[Type[HookEvent], List[Subscription]] = {}
-        self._next_token = 0
-        #: Memoized per-concrete-type delivery lists: event type -> the
-        #: flattened (MRO-ordered, then subscription-ordered) subscriber
-        #: tuple.  Invalidated wholesale on any (un)subscribe, so the hot
-        #: publish/wants path never re-walks the MRO.
-        self._resolved: Dict[Type[HookEvent], Tuple[Subscription, ...]] = {}
-        #: (subscription, exception) pairs captured during publishes; a
-        #: failing subscriber never blocks delivery to the others.
-        self.errors: List[Tuple[Subscription, Exception]] = []
+        self._subs: Dict[Type[HookEvent], List[Callable[[Any], None]]] = {}
 
-    # ------------------------------------------------------------ subscribing
     def subscribe(
         self, event_type: Type[HookEvent], callback: Callable[[Any], None]
-    ) -> Subscription:
-        """Register *callback* for events of *event_type* (or subclasses
-        published with that type in their MRO).  Delivery order is
-        subscription order."""
-        sub = Subscription(event_type, self._next_token, callback)
-        self._next_token += 1
-        self._subs.setdefault(event_type, []).append(sub)
-        self._resolved.clear()
-        return sub
-
-    def unsubscribe(self, subscription: Subscription) -> bool:
-        """Remove a subscription; returns False when already gone."""
-        subs = self._subs.get(subscription.event_type)
-        if not subs or subscription not in subs:
-            return False
-        subs.remove(subscription)
-        if not subs:
-            del self._subs[subscription.event_type]
-        self._resolved.clear()
-        return True
-
-    # ------------------------------------------------------------- publishing
-    def _resolve(self, event_type: Type[HookEvent]) -> Tuple[Subscription, ...]:
-        """The delivery list for *event_type*: its MRO walked once, then
-        memoized until the subscription set changes."""
-        resolved = self._resolved.get(event_type)
-        if resolved is None:
-            subs = self._subs
-            resolved = tuple(
-                sub for t in event_type.__mro__ for sub in subs.get(t, ())
-            )
-            self._resolved[event_type] = resolved
-        return resolved
+    ) -> None:
+        """Register *callback* for events of exactly *event_type*.
+        Delivery order is subscription order."""
+        self._subs.setdefault(event_type, []).append(callback)
 
     def wants(self, event_type: Type[HookEvent]) -> bool:
         """True when at least one subscriber would receive *event_type*.
 
         Publishers use this to skip constructing event objects on silent
-        buses, keeping the un-instrumented hot path free (the empty-dict
-        check below allocates nothing and touches no cache).
+        buses, keeping the un-instrumented hot path free.
         """
-        if not self._subs:
-            return False
-        return bool(self._resolve(event_type))
+        return event_type in self._subs
 
     def publish(self, event: HookEvent) -> None:
-        """Deliver *event* to every subscriber of its type and supertypes.
-
-        MRO order first (exact type before catch-alls), subscription order
-        within a type.  Exceptions are recorded, not raised.  The memoized
-        delivery tuple doubles as the snapshot that keeps delivery stable
-        when a callback (un)subscribes mid-publish.
-        """
-        if not self._subs:
-            return
-        for sub in self._resolve(type(event)):
-            try:
-                sub.callback(event)
-            except Exception as exc:  # noqa: BLE001 - isolation by design
-                self.errors.append((sub, exc))
-
-    # ---------------------------------------------------------------- queries
-    @property
-    def subscriber_count(self) -> int:
-        return sum(len(subs) for subs in self._subs.values())
-
-    def __bool__(self) -> bool:
-        return bool(self._subs)
+        """Deliver *event* to the subscribers of its exact type, in
+        subscription order.  A subscriber's exception propagates to the
+        publisher and aborts the run."""
+        for callback in self._subs.get(type(event), ()):
+            callback(event)

@@ -9,21 +9,21 @@ them as marker rows over time:
 * ``LINE_FILL``      — producer data fills the consumer cacheline;
 * ``FIRST_USE``      — the consumer first reads the delivered data.
 
-:class:`TraceRecorder` collects timestamped events keyed by a transaction id
-(one id per delivered message) and reconstructs :class:`Transaction` records,
-including the paper's *potential speculative saving* analysis: for an
-on-demand push gated by the request arrival, the saving is
-``fill_time - max(data_arrive, line_vacate)``.
+:class:`TraceRecorder` collects the timestamped events devices publish on
+the hook bus, keyed by a transaction id (one id per delivered message), and
+reconstructs :class:`Transaction` records, including the paper's
+*potential speculative saving* analysis: for an on-demand push gated by the
+request arrival, the saving is ``fill_time - max(data_arrive, line_vacate)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.kernel import Environment
+    from repro.sim.hooks import HookBus
 
 
 class EventKind(Enum):
@@ -99,32 +99,20 @@ class Transaction:
 
 
 class TraceRecorder:
-    """Collects trace events; disabled recorders are near-zero-cost."""
+    """Records every :class:`~repro.sim.hooks.TraceHook` published on a bus.
 
-    __slots__ = ("env", "enabled", "events", "_next_id", "_attached")
+    Devices publish the Figure-7 moments onto the system's hook bus; this
+    recorder is one plain subscriber of them (``System(trace=True)``
+    builds one), so untraced runs construct no trace events at all.
+    """
 
-    def __init__(self, env: "Environment", enabled: bool = True) -> None:
-        self.env = env
-        self.enabled = enabled
-        self.events: List[TraceEvent] = []
-        self._next_id = 0
-        self._attached: List[object] = []
+    __slots__ = ("events",)
 
-    def attach(self, bus) -> None:
-        """Subscribe this recorder to a :class:`~repro.sim.hooks.HookBus`.
-
-        The recorder observes :class:`~repro.sim.hooks.TraceHook` events
-        instead of being called directly from device hot paths.  Disabled
-        recorders do not subscribe at all, so publishers skip constructing
-        events entirely (``bus.wants(TraceHook)`` stays False).  Attaching
-        the same bus twice is a no-op — a system's devices share one bus
-        and one recorder.
-        """
-        if not self.enabled or any(b is bus for b in self._attached):
-            return
+    def __init__(self, bus: "HookBus") -> None:
+        # Imported here: repro.sim.hooks imports EventKind from this module.
         from repro.sim.hooks import TraceHook
 
-        self._attached.append(bus)
+        self.events: List[TraceEvent] = []
         bus.subscribe(TraceHook, self._on_trace_hook)
 
     def _on_trace_hook(self, event) -> None:
@@ -134,37 +122,6 @@ class TraceRecorder:
                 event.detail,
             )
         )
-
-    def new_transaction(self) -> int:
-        """Allocate a fresh transaction id (one per delivered message)."""
-        tid = self._next_id
-        self._next_id += 1
-        return tid
-
-    def record(self, kind: EventKind, transaction_id: int, sqi: int, detail: str = "") -> None:
-        if not self.enabled:
-            return
-        self.events.append(TraceEvent(self.env.now, kind, transaction_id, sqi, detail))
-
-    def record_at(
-        self,
-        kind: EventKind,
-        time: int,
-        transaction_id: int,
-        sqi: int,
-        detail: str = "",
-    ) -> None:
-        """Record an event with an explicit timestamp.
-
-        Some trace rows are only attributable to a transaction after the
-        fact: a consumer request's arrival belongs to the transaction of the
-        data it eventually matches, and a line-vacate event belongs to the
-        *next* message filled into that line.  Both are recorded at match /
-        fill time with their original timestamps.
-        """
-        if not self.enabled:
-            return
-        self.events.append(TraceEvent(int(time), kind, transaction_id, sqi, detail))
 
     # -- reconstruction ------------------------------------------------------
     def transactions(self) -> List[Transaction]:
@@ -185,14 +142,6 @@ class TraceRecorder:
             elif ev.kind is EventKind.FIRST_USE:
                 txn.first_use = ev.time
         return [by_id[k] for k in sorted(by_id)]
-
-    def window(self, start: int, end: int) -> List[Transaction]:
-        """Transactions whose fill falls inside ``[start, end)`` (Fig 7 zoom)."""
-        return [
-            t
-            for t in self.transactions()
-            if t.line_fill is not None and start <= t.line_fill < end
-        ]
 
     # -- export ----------------------------------------------------------------
     def to_csv(self) -> str:
@@ -220,20 +169,3 @@ class TraceRecorder:
             ]
             lines.append(",".join("" if f is None else str(f) for f in fields))
         return "\n".join(lines)
-
-    def to_events_json(self) -> str:
-        """Export the raw event stream as JSON (for timeline viewers)."""
-        import json
-
-        return json.dumps(
-            [
-                {
-                    "time": ev.time,
-                    "kind": ev.kind.value,
-                    "transaction_id": ev.transaction_id,
-                    "sqi": ev.sqi,
-                    "detail": ev.detail,
-                }
-                for ev in self.events
-            ]
-        )

@@ -23,8 +23,8 @@ Request lifecycle::
     CREATED ──> ARRIVED ──> MATCHED | COALESCED | DROPPED
 
 Records are plain bookkeeping — they schedule no simulation events and
-draw no randomness, so enabling them never perturbs timing (the figures
-stay bit-identical with recording on or off).
+draw no randomness, so observing them never perturbs timing (the figures
+stay bit-identical with observers attached or not).
 """
 
 from __future__ import annotations
@@ -185,51 +185,23 @@ class TransactionRecord:
 
 
 class TransactionLog:
-    """Allocates transaction records and (optionally) retains them.
+    """Allocates transaction records with per-kind dense ids.
 
     Each *kind* gets its own id sequence so message ids stay the dense
     ``0, 1, 2, …`` sequence the trace figures key on, regardless of how
-    many request records interleave with them.
-
-    With ``retain=False`` (the default) records are still created and
-    stamped — they live exactly as long as the packet that carries them —
-    but the log keeps no reference, so long runs don't accumulate memory.
+    many request records interleave with them.  The log keeps no reference
+    to a record — it lives exactly as long as the packet that carries it;
+    an observer that wants the records subscribes to
+    :class:`~repro.sim.hooks.TransactionHook`.
     """
 
-    __slots__ = ("retain", "_next_id", "_records")
+    __slots__ = ("_next_id",)
 
-    def __init__(self, retain: bool = False) -> None:
-        self.retain = retain
+    def __init__(self) -> None:
         self._next_id: Dict[str, int] = {}
-        self._records: Dict[str, List[TransactionRecord]] = {}
 
     def open(self, sqi: int, kind: str = "message") -> TransactionRecord:
         """Create a record with the next id of its *kind* sequence."""
         tid = self._next_id.get(kind, 0)
         self._next_id[kind] = tid + 1
-        record = TransactionRecord(tid, sqi, kind)
-        if self.retain:
-            self._records.setdefault(kind, []).append(record)
-        return record
-
-    def records(self, kind: str = "message") -> List[TransactionRecord]:
-        """Retained records of *kind*, in creation order."""
-        return list(self._records.get(kind, ()))
-
-    def count(self, kind: str = "message") -> int:
-        """How many records of *kind* were opened (retained or not)."""
-        return self._next_id.get(kind, 0)
-
-    def in_flight(self, kind: str = "message") -> List[TransactionRecord]:
-        """Retained records that have not reached a terminal state."""
-        terminal = (
-            TxnState.RETIRED,
-            TxnState.MATCHED,
-            TxnState.COALESCED,
-            TxnState.DROPPED,
-        )
-        return [
-            r
-            for r in self._records.get(kind, ())
-            if not any(s.state in terminal for s in r.stamps)
-        ]
+        return TransactionRecord(tid, sqi, kind)

@@ -72,10 +72,10 @@ class System:
         self.rng = RngPool(seed)
         #: One instrumentation bus shared by every component of the system.
         self.hooks = hooks if hooks is not None else HookBus()
-        self.trace = TraceRecorder(self.env, enabled=trace)
-        #: Transaction lifecycle allocator; records are retained for
-        #: post-run queries only on traced systems.
-        self.transactions = TransactionLog(retain=trace)
+        #: The Figure 7 recorder (a TraceHook subscriber); None untraced.
+        self.trace = TraceRecorder(self.hooks) if trace else None
+        #: Transaction lifecycle allocator (per-kind dense ids).
+        self.transactions = TransactionLog()
         #: Open-system request lifecycle log (inactive until an
         #: open-capable workload plans sessions under an open arrival
         #: process; closed-batch runs never touch it).
@@ -95,7 +95,6 @@ class System:
                 self.config,
                 self.network,
                 algorithm=algorithm,
-                trace=self.trace,
                 hooks=self.hooks,
                 security=security,
             )

@@ -23,11 +23,13 @@ enforces, while the simulation runs:
   rollback (``ROLLED_BACK``), which legalises exactly one re-entry — and
   no in-flight message records may remain at quiesce.
 
-The :class:`~repro.sim.hooks.HookBus` isolates subscriber exceptions (they
-are captured, not raised), so the checker *accumulates*
-:class:`InvariantViolation` records and raises a
+The checker *accumulates* :class:`InvariantViolation` records rather than
+raising mid-run, so one report lists every violation; it raises a
 :class:`~repro.errors.VerificationError` from :meth:`InvariantChecker.quiesce`
 — call it after the run (the runner does when built with ``verify=True``).
+A bug in the checker itself is not swallowed: the
+:class:`~repro.sim.hooks.HookBus` propagates subscriber exceptions, so it
+aborts the run.
 
 :class:`StallWatchdog` is the deadlock/livelock leg: an observe-only
 kernel callback that polls cheap progress counters and raises
@@ -88,19 +90,10 @@ class InvariantChecker:
         #: sqi -> number of consumer endpoints (cached; None = unknown yet).
         self._consumers_per_sqi: Dict[int, int] = {}
         self.events_seen = 0
-        self._subs = [
-            system.hooks.subscribe(PushHook, self._on_push),
-            system.hooks.subscribe(DeliveryHook, self._on_delivery),
-            system.hooks.subscribe(LineHook, self._on_line),
-            system.hooks.subscribe(TransactionHook, self._on_transaction),
-        ]
-
-    # ----------------------------------------------------------------- teardown
-    def detach(self) -> None:
-        """Unsubscribe from the bus (idempotent)."""
-        for sub in self._subs:
-            self.system.hooks.unsubscribe(sub)
-        self._subs = []
+        system.hooks.subscribe(PushHook, self._on_push)
+        system.hooks.subscribe(DeliveryHook, self._on_delivery)
+        system.hooks.subscribe(LineHook, self._on_line)
+        system.hooks.subscribe(TransactionHook, self._on_transaction)
 
     # ---------------------------------------------------------------- recording
     def _flag(self, tick: int, rule: str, detail: str) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig
+from repro.sim.hooks import TransactionHook
 from repro.sim.kernel import Environment
 from repro.system import System
 
@@ -49,6 +50,25 @@ def build_pingpong(system: System, rounds: int = 50, compute: int = 100):
     system.spawn(0, producer, "producer")
     system.spawn(1, consumer, "consumer")
     return received
+
+
+def subscribe_records(system: System, kind: str = "message") -> list:
+    """Collect every transaction record of *kind*, in creation order.
+
+    The log keeps no records; a :class:`TransactionHook` subscriber sees
+    each one at its first stamp.  Subscribe before the run starts.
+    """
+    records: list = []
+    seen: set = set()
+
+    def on_transaction(event: TransactionHook) -> None:
+        record = event.record
+        if record is not None and record.kind == kind and record.tid not in seen:
+            seen.add(record.tid)
+            records.append(record)
+
+    system.hooks.subscribe(TransactionHook, on_transaction)
+    return records
 
 
 @pytest.fixture

@@ -9,6 +9,8 @@ from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.errors import ConfigError
 from repro.eval.replication import ReplicatedStat, _stat, replicated_comparison
 from repro.eval.runner import run_workload, standard_settings
+from repro.obs.perfetto import JsonlTraceSink
+from repro.sim.hooks import HookBus, TraceHook
 from repro.sim.trace import EventKind, TraceRecorder
 
 
@@ -46,13 +48,20 @@ def test_config_json_is_valid_json():
 
 
 # -------------------------------------------------------------- trace export
+def _publish(bus, kind, time, txn, sqi, detail=""):
+    bus.publish(
+        TraceHook(tick=time, kind=kind, transaction_id=txn, sqi=sqi,
+                  detail=detail)
+    )
+
+
 def test_trace_csv_export(env):
-    trace = TraceRecorder(env)
-    txn = trace.new_transaction()
-    trace.record_at(EventKind.DATA_ARRIVE, 10, txn, 1)
-    trace.record_at(EventKind.LINE_VACATE, 5, txn, 1)
-    trace.record_at(EventKind.LINE_FILL, 40, txn, 1)
-    trace.record_at(EventKind.FIRST_USE, 50, txn, 1)
+    bus = HookBus()
+    trace = TraceRecorder(bus)
+    _publish(bus, EventKind.DATA_ARRIVE, 10, 0, 1)
+    _publish(bus, EventKind.LINE_VACATE, 5, 0, 1)
+    _publish(bus, EventKind.LINE_FILL, 40, 0, 1)
+    _publish(bus, EventKind.FIRST_USE, 50, 0, 1)
     csv = trace.to_csv()
     lines = csv.splitlines()
     assert lines[0].startswith("transaction_id,")
@@ -61,11 +70,13 @@ def test_trace_csv_export(env):
 
 
 def test_trace_events_json(env):
-    trace = TraceRecorder(env)
-    trace.record_at(EventKind.REQUEST_ARRIVE, 7, 0, 2, detail="x")
-    events = json.loads(trace.to_events_json())
+    # The raw trace-event stream as JSON is the JSONL sink's "trace" line.
+    bus = HookBus()
+    sink = JsonlTraceSink(bus)
+    _publish(bus, EventKind.REQUEST_ARRIVE, 7, 0, 2, detail="x")
+    events = [json.loads(line) for line in sink.to_jsonl().splitlines()]
     assert events == [
-        {"time": 7, "kind": "request arrive", "transaction_id": 0,
+        {"ev": "trace", "t": 7, "kind": "request arrive", "tid": 0,
          "sqi": 2, "detail": "x"}
     ]
 

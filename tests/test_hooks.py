@@ -1,12 +1,11 @@
-"""The instrumentation hook bus: ordering, isolation, zero-cost guards."""
+"""The instrumentation hook bus: ordering, loud failures, zero-cost guards."""
+
+import pytest
 
 from repro.sim.hooks import (
     BusHook,
     HookBus,
-    HookEvent,
-    SpecBufHook,
     TraceHook,
-    TransactionHook,
 )
 from repro.sim.trace import EventKind
 
@@ -21,43 +20,7 @@ def test_subscribers_fire_in_subscription_order():
     assert order == ["first", "second", "third"]
 
 
-def test_base_class_subscription_catches_all_event_types():
-    bus = HookBus()
-    seen = []
-    bus.subscribe(HookEvent, seen.append)
-    events = [
-        BusHook(tick=1, kind="request", busy_cycles=0),
-        SpecBufHook(tick=2, sqi=1, entry_index=0, hit=True),
-        TraceHook(tick=3, kind=EventKind.DATA_ARRIVE, transaction_id=0, sqi=1),
-    ]
-    for event in events:
-        bus.publish(event)
-    assert seen == events
-
-
-def test_exact_type_delivered_before_catch_all():
-    bus = HookBus()
-    order = []
-    bus.subscribe(HookEvent, lambda e: order.append("any"))
-    bus.subscribe(BusHook, lambda e: order.append("exact"))
-    bus.publish(BusHook(tick=0, kind="stash", busy_cycles=0))
-    # MRO walk: the concrete type's subscribers fire before HookEvent's.
-    assert order == ["exact", "any"]
-
-
-def test_unsubscribe_stops_delivery():
-    bus = HookBus()
-    seen = []
-    sub = bus.subscribe(BusHook, seen.append)
-    bus.publish(BusHook(tick=0, kind="stash", busy_cycles=0))
-    assert bus.unsubscribe(sub) is True
-    bus.publish(BusHook(tick=1, kind="stash", busy_cycles=0))
-    assert len(seen) == 1
-    # A second unsubscribe reports the subscription already gone.
-    assert bus.unsubscribe(sub) is False
-
-
-def test_exception_in_one_subscriber_does_not_drop_events_for_others():
+def test_subscriber_exception_propagates():
     bus = HookBus()
     seen = []
 
@@ -66,37 +29,26 @@ def test_exception_in_one_subscriber_does_not_drop_events_for_others():
 
     bus.subscribe(BusHook, broken)
     bus.subscribe(BusHook, seen.append)
-    event = BusHook(tick=0, kind="stash", busy_cycles=0)
-    bus.publish(event)
-    assert seen == [event]
-    assert len(bus.errors) == 1
-    sub, exc = bus.errors[0]
-    assert isinstance(exc, RuntimeError)
+    with pytest.raises(RuntimeError, match="boom"):
+        bus.publish(BusHook(tick=0, kind="stash", busy_cycles=0))
+    # The failure aborts delivery: later subscribers never see the event.
+    assert seen == []
 
 
 def test_wants_guards_silent_buses():
     bus = HookBus()
     assert not bus.wants(BusHook)
-    assert not bus
     bus.subscribe(TraceHook, lambda e: None)
     assert bus.wants(TraceHook)
     assert not bus.wants(BusHook)
-    assert bus.subscriber_count == 1
-    # Subscribing to the base class makes every event type wanted.
-    bus.subscribe(HookEvent, lambda e: None)
-    assert bus.wants(BusHook) and bus.wants(TransactionHook)
 
 
 def test_trace_recorder_attaches_as_subscriber():
-    from repro.sim.kernel import Environment
     from repro.sim.trace import TraceRecorder
 
-    env = Environment()
     bus = HookBus()
-    recorder = TraceRecorder(env, enabled=True)
-    recorder.attach(bus)
-    recorder.attach(bus)  # idempotent: devices share one bus + recorder
-    assert bus.subscriber_count == 1
+    recorder = TraceRecorder(bus)
+    assert bus.wants(TraceHook)
     bus.publish(
         TraceHook(tick=5, kind=EventKind.LINE_FILL, transaction_id=2, sqi=1,
                   detail="speculative")
@@ -105,13 +57,3 @@ def test_trace_recorder_attaches_as_subscriber():
     event = recorder.events[0]
     assert (event.time, event.kind, event.transaction_id, event.sqi) == (
         5, EventKind.LINE_FILL, 2, 1)
-
-
-def test_disabled_trace_recorder_does_not_subscribe():
-    from repro.sim.kernel import Environment
-    from repro.sim.trace import TraceRecorder
-
-    bus = HookBus()
-    TraceRecorder(Environment(), enabled=False).attach(bus)
-    assert bus.subscriber_count == 0
-    assert not bus.wants(TraceHook)

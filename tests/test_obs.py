@@ -12,7 +12,7 @@ from repro.obs.accuracy import (
     accuracy_from_metrics,
     stage_latency_summary,
 )
-from repro.obs.collector import MetricsCollector, attach_collector, finalize_system
+from repro.obs.collector import MetricsCollector, finalize_system
 from repro.obs.metrics import (
     NULL_METRICS,
     MetricsRegistry,
@@ -37,7 +37,7 @@ from repro.obs.runner import (
 from repro.system import System
 from repro.units import CACHELINE_BYTES
 
-from tests.conftest import build_pingpong
+from tests.conftest import build_pingpong, subscribe_records
 
 
 # --------------------------------------------------------- WindowedHistogram
@@ -169,7 +169,7 @@ def run_observed(device="spamer", algorithm="tuned", rounds=30):
         config=SystemConfig(num_cores=4), device=device, algorithm=algorithm
     )
     registry = MetricsRegistry()
-    collector = attach_collector(system, registry)
+    collector = MetricsCollector(system.hooks, registry)
     build_pingpong(system, rounds=rounds)
     system.run_to_completion()
     finalize_system(system, registry)
@@ -227,18 +227,6 @@ def test_collector_never_perturbs_timing():
     assert observed.env.events_processed == bare.env.events_processed
 
 
-def test_collector_detach_stops_counting():
-    system = System(config=SystemConfig(num_cores=4), device="spamer",
-                    algorithm="tuned")
-    registry = MetricsRegistry()
-    collector = MetricsCollector(system.hooks, registry)
-    collector.detach()
-    build_pingpong(system, rounds=5)
-    system.run_to_completion()
-    assert registry.counter("push.messages") == 0
-    assert not system.hooks.errors
-
-
 def test_system_owned_registry_finalizes_on_completion():
     registry = MetricsRegistry()
     system = System(config=SystemConfig(num_cores=4), device="spamer",
@@ -264,10 +252,11 @@ def test_system_skips_collector_for_null_registry():
 def run_traced(pid_base=0, label=""):
     system = System(config=SystemConfig(num_cores=4), device="spamer",
                     algorithm="tuned", trace=True)
+    records = subscribe_records(system)
     sink = PerfettoTraceSink(system.hooks, pid_base=pid_base, label=label)
     build_pingpong(system, rounds=20)
     system.run_to_completion()
-    return system, sink
+    return records, sink
 
 
 def test_perfetto_track_metadata():
@@ -298,11 +287,10 @@ def test_perfetto_slices_have_nonnegative_durations():
 
 
 def test_perfetto_flow_events_reconcile_with_transaction_records():
-    """Acceptance criterion: every retained message lifecycle maps 1:1 onto
-    a flow chain — one ``s`` (push), one ``t`` per stash attempt, one ``f``
+    """Acceptance criterion: every message lifecycle maps 1:1 onto a flow
+    chain — one ``s`` (push), one ``t`` per stash attempt, one ``f``
     (delivery) — all carrying the transaction id."""
-    system, sink = run_traced()
-    records = system.transactions.records("message")
+    records, sink = run_traced()
     assert records and all(r.retired for r in records)
     starts = [e for e in sink.events if e["ph"] == "s"]
     steps = [e for e in sink.events if e["ph"] == "t"]
@@ -331,16 +319,6 @@ def test_perfetto_document_and_json_are_deterministic():
     doc = sink_a.document()
     assert set(doc) == {"traceEvents", "displayTimeUnit"}
     assert json.loads(sink_a.to_json(indent=1)) == doc
-
-
-def test_perfetto_detach_stops_streaming():
-    system = System(config=SystemConfig(num_cores=4), device="spamer",
-                    algorithm="tuned")
-    sink = PerfettoTraceSink(system.hooks)
-    sink.detach()
-    build_pingpong(system, rounds=5)
-    system.run_to_completion()
-    assert sink.events == []
 
 
 # --------------------------------------------------------------- JsonlTraceSink
@@ -378,6 +356,32 @@ def test_accuracy_from_run_metrics():
     assert acc.spec_hits == metrics.spec_pushes - metrics.spec_failures
     assert acc.wasted_push_bytes == metrics.spec_failures * CACHELINE_BYTES
     assert 0.0 <= acc.precision <= 1.0 and 0.0 <= acc.recall <= 1.0
+
+
+def test_accuracy_waste_agrees_with_run_metrics_on_invalidation_cell():
+    """The mesh-invalidation-k4 cell (8-core mesh, multipush k=4): rolled-back
+    claims that landed are invalidated, and the report charges those bytes
+    separately, on top of — not inside — ``wasted_push_bytes``."""
+    from repro.eval.runner import collect_metrics, multipush_setting
+    from repro.verify.fuzz import (
+        FuzzWorkload, LinkSpec, ProgramSpec, run_fuzz_case,
+    )
+
+    spec = ProgramSpec(
+        links=(LinkSpec(2, 1, 16),), producer_compute=0, consumer_compute=0
+    )
+    setting = multipush_setting(4, 0.0)
+    config = SystemConfig(num_cores=8, lines_per_endpoint=4, topology="mesh")
+    result = run_fuzz_case(spec, setting, config=config)
+    assert result.ok
+    metrics = collect_metrics(result.system, FuzzWorkload(spec), setting)
+    acc = accuracy_from_metrics(metrics)
+    assert acc.rollback_invalidations > 0  # positive control
+    assert acc.spec_hits == metrics.spec_hits
+    assert acc.wasted_push_bytes == metrics.wasted_push_bytes
+    assert acc.as_dict()["rollback_invalidation_bytes"] == (
+        acc.rollback_invalidations * CACHELINE_BYTES
+    )
 
 
 def test_run_metrics_accuracy_properties_stay_out_of_asdict():

@@ -13,7 +13,8 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.eval.runner import run_workload, setting_by_name
-from repro.obs.collector import attach_collector, finalize_system
+from repro.obs.collector import MetricsCollector, finalize_system
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.perfetto import (
     PID_REQUESTS,
     REQUEST_FLOW_BASE,
@@ -207,7 +208,9 @@ def test_collector_counts_request_lifecycle_events():
     registries = []
 
     def attach(system):
-        registries.append(attach_collector(system).registry)
+        registry = MetricsRegistry()
+        MetricsCollector(system.hooks, registry)
+        registries.append(registry)
 
     metrics, system = run_open(on_system=attach)
     registry = registries[0]

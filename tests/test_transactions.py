@@ -1,7 +1,10 @@
 """The explicit transaction lifecycle threaded through the stack."""
 
 from repro import System
+from repro.sim.hooks import TraceHook, TransactionHook
 from repro.sim.transaction import TransactionLog, TransactionRecord, TxnState
+
+from tests.conftest import subscribe_records
 
 
 def _ping_pong(system, messages=8):
@@ -51,23 +54,14 @@ def test_log_keeps_dense_per_kind_id_sequences():
     rids = [log.open(1, kind="request").tid for _ in range(2)]
     assert tids == [0, 1, 2]
     assert rids == [0, 1]          # requests do not perturb message ids
-    assert log.count() == 3 and log.count("request") == 2
-
-
-def test_log_retention_is_opt_in():
-    log = TransactionLog(retain=False)
-    log.open(1)
-    assert log.records() == [] and log.count() == 1
-    retained = TransactionLog(retain=True)
-    record = retained.open(1)
-    assert retained.records() == [record]
+    assert log.open(1).tid == 3 and log.open(1, kind="request").tid == 2
 
 
 # ----------------------------------------------------------- system level
 def test_message_lifecycle_through_a_real_run():
-    system = System(device="spamer", trace=True)
+    system = System(device="spamer")
+    records = subscribe_records(system)
     _ping_pong(system)
-    records = system.transactions.records()
     assert len(records) == 8
     for record in records:
         assert record.retired
@@ -81,13 +75,12 @@ def test_message_lifecycle_through_a_real_run():
         assert ticks == sorted(ticks)
     # Message ids stay the dense 0..n-1 sequence the trace figures key on.
     assert [r.tid for r in records] == list(range(8))
-    assert system.transactions.in_flight() == []
 
 
 def test_request_lifecycle_on_baseline_device():
-    system = System(device="vl", trace=True)
+    system = System(device="vl")
+    requests = subscribe_records(system, kind="request")
     _ping_pong(system)
-    requests = system.transactions.records("request")
     assert requests, "legacy pops must issue vl_fetch requests"
     terminal = {TxnState.MATCHED, TxnState.COALESCED, TxnState.DROPPED}
     assert any(r.state in terminal for r in requests)
@@ -96,14 +89,19 @@ def test_request_lifecycle_on_baseline_device():
 def test_untraced_system_does_not_retain_records():
     system = System(device="spamer")
     _ping_pong(system)
-    assert system.transactions.records() == []
-    assert system.transactions.count() == 8  # ids were still allocated
+    # No recorder and no record subscriber: nothing is kept or published.
+    assert system.trace is None
+    assert not system.hooks.wants(TraceHook)
+    assert not system.hooks.wants(TransactionHook)
+    assert system.transactions.open(0).tid == 8  # ids were still allocated
 
 
 def test_recording_does_not_perturb_timing():
     plain = System(device="spamer", seed=7)
     _ping_pong(plain)
     traced = System(device="spamer", trace=True, seed=7)
+    records = subscribe_records(traced)
     _ping_pong(traced)
+    assert len(records) == 8
     assert plain.env.now == traced.env.now
     assert plain.device.stats.as_dict() == traced.device.stats.as_dict()

@@ -169,12 +169,16 @@ def test_watchdog_defers_while_progress_happens():
     system.verifier.quiesce()
 
 
-def test_checker_detach_stops_observing():
-    system = verified_system()
-    build_pingpong(system, rounds=5)
-    system.verifier.detach()
-    system.run_to_completion()
-    assert system.verifier.events_seen == 0
+def test_checker_exception_fails_the_run(monkeypatch):
+    """A bug in the checker itself must abort the run, not pass it."""
+
+    def broken(self, event):
+        raise RuntimeError("checker bug")
+
+    monkeypatch.setattr(InvariantChecker, "_on_line", broken)
+    with pytest.raises(RuntimeError, match="checker bug"):
+        run_workload("incast", setting_by_name("tuned"), scale=0.05,
+                     verify=True)
 
 
 def test_invariant_checker_attachable_to_plain_system(spamer_system):
